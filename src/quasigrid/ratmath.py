@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from numbers import Rational as _RationalABC
 from typing import Iterable, Sequence
 
@@ -237,11 +236,6 @@ class IntervalBox:
         return IntervalBox(vec_add(self.lo, shift), vec_add(self.hi, shift),
                            self.lo_closed, self.hi_closed)
 
-    def corners(self) -> list[Vec]:
-        if self.dim == 0:
-            return [()]
-        return [tuple(c) for c in product(*zip(self.lo, self.hi))]
-
 
 def ball_box(center: Sequence, radius, closed: bool = False) -> IntervalBox:
     """The box underlying B(center, radius); open faces unless closed=True."""
@@ -255,16 +249,29 @@ def ball_box(center: Sequence, radius, closed: bool = False) -> IntervalBox:
 def preimage_bounds(m: RMatrix, box: IntervalBox) -> IntervalBox:
     """A closed box guaranteed to contain the preimage M^-1(box).
 
-    Computed by pushing every corner of the box through the exact inverse
-    and taking the componentwise hull; corner count 2^dim stays small at
-    the dimensions this package works in.
+    Row i of the exact inverse B gives the bounds
+        lo_i = sum_j min(b_ij lo_j, b_ij hi_j),
+        hi_i = sum_j max(b_ij lo_j, b_ij hi_j).
+    A linear form is a sum of one-coordinate terms, so over a box each term
+    reaches its extreme independently of the others: the result is exactly
+    the componentwise hull of the images of all 2^dim corners, at O(dim^2)
+    cost instead of O(2^dim dim^2).
     """
     if m.rows != m.cols:
         raise ValueError("preimage bounds need a square matrix")
     if box.dim != m.rows:
         raise DimensionMismatchError(f"matrix dim {m.rows}, box dim {box.dim}")
     inv = invert_matrix(m)
-    images = [inv.apply(corner) for corner in box.corners()]
-    lo = tuple(min(img[i] for img in images) for i in range(m.rows))
-    hi = tuple(max(img[i] for img in images) for i in range(m.rows))
-    return IntervalBox(lo, hi, (True,) * m.rows, (True,) * m.rows)
+    lo, hi = [], []
+    for row in inv.entries:
+        row_lo = row_hi = Fraction(0)
+        for b, a, c in zip(row, box.lo, box.hi):
+            if b > 0:
+                row_lo += b * a
+                row_hi += b * c
+            elif b < 0:
+                row_lo += b * c
+                row_hi += b * a
+        lo.append(row_lo)
+        hi.append(row_hi)
+    return IntervalBox(tuple(lo), tuple(hi), (True,) * m.rows, (True,) * m.rows)

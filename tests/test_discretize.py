@@ -151,6 +151,15 @@ class TestApplyChain:
             mats = tuple(_random_invertible(rng, 2, 8) for _ in range(k))
             assert chain_model_witness(MapChain(2, mats), 50) is None, i
 
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_long_random_chains_match_model_sets(self, k):
+        # iterated schemes of dimension 2 (k + 1) = 14 and 18
+        from quasigrid.cli import _random_invertible
+
+        rng = RngState(31)
+        mats = tuple(_random_invertible(rng, 2, 4) for _ in range(k))
+        assert chain_model_witness(MapChain(2, mats), 8) is None
+
 
 class TestSl2Sampler:
     def test_deterministic_in_seed(self):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from quasigrid.cutproject import iterated_scheme
 from quasigrid.errors import SingularMatrixError
 from quasigrid.ratmath import (
     IntervalBox,
@@ -112,6 +113,15 @@ class TestInvert:
             invert_matrix(RMatrix.from_rows([[1, 2], [2, 4]]))
 
 
+def corner_hull(m, box):
+    """Reference preimage bounds: the hull of all 2^dim corner images."""
+    inv = invert_matrix(m)
+    images = [inv.apply(c) for c in product(*zip(box.lo, box.hi))]
+    lo = tuple(min(img[i] for img in images) for i in range(m.rows))
+    hi = tuple(max(img[i] for img in images) for i in range(m.rows))
+    return lo, hi
+
+
 class TestPreimageBounds:
     def test_examples(self):
         box = IntervalBox.closed([-1, -1], [1, 1])
@@ -147,3 +157,44 @@ class TestPreimageBounds:
                     continue
                 assert not box.contains(m.apply(c)), (m, c)
                 checked += 1
+
+    def test_equals_corner_hull_on_random_matrices(self):
+        rng = RngState(105)
+        for n in range(1, 7):
+            for trial in range(6):
+                while True:
+                    # about one entry in three is zero, the rest signed
+                    m = RMatrix.from_rows(
+                        [[random_fraction(rng, 3, 6) if rng.randrange(3) else 0
+                          for _ in range(n)] for _ in range(n)]
+                    )
+                    if m.determinant() != 0:
+                        break
+                lo, hi = [], []
+                for _ in range(n):
+                    a = random_fraction(rng, 5, 8)
+                    # every third axis, on average, is degenerate
+                    b = a + abs(random_fraction(rng, 5, 8)) if rng.randrange(3) else a
+                    lo.append(a)
+                    hi.append(b)
+                box = IntervalBox.closed(lo, hi)
+                bounds = preimage_bounds(m, box)
+                assert (bounds.lo, bounds.hi) == corner_hull(m, box), (n, trial)
+                assert all(isinstance(x, Fraction) for x in bounds.lo + bounds.hi)
+
+    def test_equals_corner_hull_on_iterated_scheme(self):
+        # n = 2, k = 5: dimension 12, 4096 corners
+        rng = RngState(106)
+        maps = []
+        while len(maps) < 5:
+            a = RMatrix.from_rows(
+                [[random_fraction(rng, 2, 4) for _ in range(2)] for _ in range(2)]
+            )
+            if abs(a.determinant()) >= Fraction(1, 2):
+                maps.append(a)
+        scheme = iterated_scheme(maps)
+        half, radius = Fraction(1, 2), Fraction(17, 2)
+        box = IntervalBox.closed([-half] * 10 + [-radius] * 2,
+                                 [half] * 10 + [radius] * 2)
+        bounds = preimage_bounds(scheme.basis, box)
+        assert (bounds.lo, bounds.hi) == corner_hull(scheme.basis, box)
