@@ -16,6 +16,7 @@ every report records the region and radii actually used.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -116,12 +117,9 @@ def _grid_extrema(points, dim, radius, region) -> tuple[int, int]:
     for lo, hi in region:
         count = int((hi - lo) / step) + 1
         axes.append([lo + k * step for k in range(count)] + [hi])
-    centers = [()]
-    for axis in axes:
-        centers = [c + (v,) for c in centers for v in axis]
     counts = [
         sum(1 for p in points if inf_norm(vec_sub(p, x)) < radius)
-        for x in centers
+        for x in itertools.product(*axes)
     ]
     return min(counts), max(counts)
 

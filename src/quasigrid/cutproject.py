@@ -244,10 +244,6 @@ def _axis_minus(a: IntervalBox, b: IntervalBox, i: int):
     return pieces
 
 
-def _box_from_axes(axes) -> IntervalBox:
-    return IntervalBox.from_faces(axes)
-
-
 def box_minus(a: IntervalBox, b: IntervalBox) -> list[IntervalBox]:
     """a \\ b as disjoint flagged boxes (exact, including face flags)."""
     if a.dim != b.dim:
@@ -261,7 +257,7 @@ def box_minus(a: IntervalBox, b: IntervalBox) -> list[IntervalBox]:
         suffix = [(a.lo[j], a.lo_closed[j], a.hi[j], a.hi_closed[j])
                   for j in range(i + 1, a.dim)]
         for piece in _axis_minus(a, b, i):
-            out.append(_box_from_axes(prefix + [piece] + suffix))
+            out.append(IntervalBox.from_faces(prefix + [piece] + suffix))
     return [box for box in out if not box.is_empty()]
 
 

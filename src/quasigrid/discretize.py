@@ -16,6 +16,7 @@ entries are quantized to denominator 2**32.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,9 +168,9 @@ def _column_bounds(hull, budget: int):
 def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
     """Closed region of Z^dim inputs needed for completeness in B(0, r_out).
 
-    dim 1 and 2 propagate the exact preimage (interval / convex polygon);
-    higher dimensions fall back to the bounding-box preimage, which is
-    sound but wider.
+    dim 2 propagates the exact preimage as a convex polygon; other
+    dimensions propagate the bounding-box preimage, which is exact for
+    dim 1 and sound but wider above.
     """
     n = chain.dim
     if n == 2:
@@ -181,13 +182,6 @@ def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
                 _map_region_2d(inv, _mink_cube_2d(region, HALF))
             )
         return [(x * scale, y * scale) for x, y in _hull_2d(region)]
-    if n == 1:
-        lo, hi = -r_out, r_out
-        for a in reversed(chain.matrices):
-            inv = invert_matrix(a).entries[0][0]
-            ends = sorted((inv * (lo - HALF), inv * (hi + HALF)))
-            lo, hi = ends
-        return (lo * scale, hi * scale)
     box = IntervalBox.closed((-r_out,) * n, (r_out,) * n)
     for a in reversed(chain.matrices):
         grown = IntervalBox.closed(
@@ -200,12 +194,7 @@ def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
 
 def _region_int_points(region, n: int, budget: int) -> np.ndarray:
     rows: list[tuple[int, ...]] = []
-    if n == 1:
-        lo, hi = math.ceil(region[0]), math.floor(region[1])
-        if hi - lo + 1 > budget:
-            raise BudgetError("input grid for the chain exceeds the budget")
-        rows = [(x,) for x in range(lo, hi + 1)]
-    elif n == 2:
+    if n == 2:
         total = 0
         for x, y_lo, y_hi in _column_bounds(region, budget):
             a, b = math.ceil(y_lo), math.floor(y_hi)
@@ -221,10 +210,7 @@ def _region_int_points(region, n: int, budget: int) -> np.ndarray:
             total *= max(0, len(span))
         if total > budget:
             raise BudgetError("input grid for the chain exceeds the budget")
-        grid = [[]]
-        for span in spans:
-            grid = [g + [x] for g in grid for x in span]
-        rows = [tuple(g) for g in grid]
+        rows = list(itertools.product(*spans))
     if not rows:
         return np.empty((0, n), dtype=np.int64)
     return np.array(rows, dtype=np.int64)

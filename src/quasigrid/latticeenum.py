@@ -7,9 +7,10 @@ denominator and fold strict faces into the integer bounds beforehand).
 The solver fixes variables one at a time, narrowing the ranges of the
 remaining ones by exact interval propagation over the rows after each fix.
 That keeps sheared systems (lattice bases far from diagonal) enumerable
-without walking the full product of the global ranges.  The bulk arithmetic
-runs vectorized on int64 when a precomputed worst-case bound shows no
-intermediate value can overflow; otherwise a scalar big-int path is used.
+without walking the full product of the global ranges.  There is one
+solver, vectorized over batches of prefixes: it runs on int64 arrays when a
+precomputed worst-case bound shows no intermediate value can overflow, and
+on object arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class _BudgetMeter:
 
 def solve_integer_box(cons: IntConstraints, budget: int) -> list[tuple[int, ...]]:
     """All integer vectors satisfying every row, in no particular order."""
-    d = cons.dim
     if any(lo > hi for lo, hi in zip(cons.var_lo, cons.var_hi)):
         return []
     order = _choose_order(cons)
@@ -141,9 +141,6 @@ def _row_pairs(coeffs, fixed_mask):
     return pairs
 
 
-# --- vectorized path --------------------------------------------------------
-
-
 def _interval_scale(factor, lo, hi):
     if factor >= 0:
         return factor * lo, factor * hi
@@ -192,7 +189,7 @@ def _sweep_numpy(a, lo, hi, LO, HI, fixed_mask, pairs):
                 fr = (a[r, fixed_cols] * LO[:, fixed_cols]).sum(axis=1)
                 fs = (a[s, fixed_cols] * LO[:, fixed_cols]).sum(axis=1)
             else:
-                fr = fs = np.zeros(LO.shape[0], dtype=np.int64)
+                fr = fs = np.zeros(LO.shape[0], dtype=LO.dtype)
             ir = (lo[r] - fr, hi[r] - fr)
             is_ = (lo[s] - fs, hi[s] - fs)
             # Cramer: u = (a_sv*b_r - a_rv*b_s)/det, v symmetric
@@ -211,13 +208,14 @@ def _sweep_numpy(a, lo, hi, LO, HI, fixed_mask, pairs):
     return LO, HI, alive
 
 
-def _solve_numpy(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
+def _solve_numpy(cons: IntConstraints, order, meter,
+                 dtype=np.int64) -> list[tuple[int, ...]]:
     d = cons.dim
-    a = np.array(cons.coeffs, dtype=np.int64)
-    lo = np.array(cons.lo, dtype=np.int64)
-    hi = np.array(cons.hi, dtype=np.int64)
-    LO0 = np.array([cons.var_lo], dtype=np.int64)
-    HI0 = np.array([cons.var_hi], dtype=np.int64)
+    a = np.array(cons.coeffs, dtype=dtype)
+    lo = np.array(cons.lo, dtype=dtype)
+    hi = np.array(cons.hi, dtype=dtype)
+    LO0 = np.array([cons.var_lo], dtype=dtype)
+    HI0 = np.array([cons.var_hi], dtype=dtype)
     out: list[tuple[int, ...]] = []
     stack = [(0, LO0, HI0)]
     while stack:
@@ -235,8 +233,10 @@ def _solve_numpy(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
             continue
         var = order[level]
         counts = HI[:, var] - LO[:, var] + 1
-        approx = float(counts.sum(dtype=np.float64))
-        if approx > 4 * meter.budget:
+        # the max test is exact on both dtypes and keeps the float sum below
+        # from overflowing on Python ints
+        if (counts.max() > meter.budget
+                or float(counts.sum(dtype=np.float64)) > 4 * meter.budget):
             raise BudgetError(
                 f"enumeration would visit more than {meter.budget} candidate "
                 "coefficient vectors (raise QUASIGRID_BUDGET to override)"
@@ -245,6 +245,7 @@ def _solve_numpy(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
         meter.charge(total)
         if total == 0:
             continue
+        counts = counts.astype(np.int64)  # np.repeat refuses object counts
         index = np.repeat(np.arange(LO.shape[0]), counts)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         values = LO[index, var] + (np.arange(total) - starts[index])
@@ -257,74 +258,9 @@ def _solve_numpy(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
     return out
 
 
-# --- scalar big-int path ----------------------------------------------------
-
-
 def _solve_python(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
-    d = cons.dim
-    rows = list(zip(cons.coeffs, cons.lo, cons.hi))
-    out: list[tuple[int, ...]] = []
+    """Solve on object arrays of Python ints, which cannot overflow.
 
-    def sweep(LO, HI, fixed):
-        for _ in range(2):
-            for row, rlo, rhi in rows:
-                terms = [
-                    (min(a * l, a * h), max(a * l, a * h))
-                    for a, l, h in zip(row, LO, HI)
-                ]
-                tot_lo = sum(t[0] for t in terms)
-                tot_hi = sum(t[1] for t in terms)
-                if tot_lo > rhi or tot_hi < rlo:
-                    return False
-                for j in range(d):
-                    a = row[j]
-                    if a == 0 or fixed[j]:
-                        continue
-                    other_lo = tot_lo - terms[j][0]
-                    other_hi = tot_hi - terms[j][1]
-                    new_lo, new_hi = _interval_div(rlo - other_hi,
-                                                   rhi - other_lo, a)
-                    if new_lo > LO[j]:
-                        LO[j] = new_lo
-                    if new_hi < HI[j]:
-                        HI[j] = new_hi
-                    if LO[j] > HI[j]:
-                        return False
-            for r, s, u, v, det in _row_pairs(cons.coeffs, fixed):
-                fr = sum(cons.coeffs[r][j] * LO[j] for j in range(d) if fixed[j])
-                fs = sum(cons.coeffs[s][j] * LO[j] for j in range(d) if fixed[j])
-                ir = (cons.lo[r] - fr, cons.hi[r] - fr)
-                is_ = (cons.lo[s] - fs, cons.hi[s] - fs)
-                for var, t1, t2 in (
-                    (u, _interval_scale(cons.coeffs[s][v], *ir),
-                     _interval_scale(-cons.coeffs[r][v], *is_)),
-                    (v, _interval_scale(cons.coeffs[r][u], *is_),
-                     _interval_scale(-cons.coeffs[s][u], *ir)),
-                ):
-                    new_lo, new_hi = _interval_div(t1[0] + t2[0],
-                                                   t1[1] + t2[1], det)
-                    if new_lo > LO[var]:
-                        LO[var] = new_lo
-                    if new_hi < HI[var]:
-                        HI[var] = new_hi
-                    if LO[var] > HI[var]:
-                        return False
-        return True
-
-    def descend(level, LO, HI):
-        LO, HI = list(LO), list(HI)
-        fixed = [order.index(j) < level for j in range(d)]
-        if not sweep(LO, HI, fixed):
-            return
-        if level == d:
-            out.append(tuple(LO))
-            return
-        var = order[level]
-        meter.charge(HI[var] - LO[var] + 1)
-        for value in range(LO[var], HI[var] + 1):
-            nLO, nHI = list(LO), list(HI)
-            nLO[var] = nHI[var] = value
-            descend(level + 1, nLO, nHI)
-
-    descend(0, cons.var_lo, cons.var_hi)
-    return out
+    An entry of its own so that big-int solves can be counted by wrapping it.
+    """
+    return _solve_numpy(cons, order, meter, object)

@@ -10,6 +10,7 @@ silently biased near patch boundaries.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -169,20 +170,13 @@ def delone_estimate(s: PointSet) -> DelonePair:
                 best = nearest
     else:
         best = Fraction(0)
-        for x in _grid_product(axes):
+        for x in itertools.product(*axes):
             nearest = min(inf_norm(vec_sub(p, x)) for p in s.points)
             if nearest > best:
                 best = nearest
     # the midpoint of the closest pair always carries an empty ball of
     # radius r_gamma, so the estimate never sits below it
     return DelonePair(r_gamma, max(best, r_gamma))
-
-
-def _grid_product(axes):
-    if len(axes) == 1:
-        return [(a,) for a in axes[0]]
-    rest = _grid_product(axes[1:])
-    return [(a, *r) for a in axes[0] for r in rest]
 
 
 # --- QPS text format -------------------------------------------------------

@@ -237,15 +237,6 @@ class IntervalBox:
                            self.lo_closed, self.hi_closed)
 
 
-def ball_box(center: Sequence, radius, closed: bool = False) -> IntervalBox:
-    """The box underlying B(center, radius); open faces unless closed=True."""
-    center, radius = vec(center), rat(radius)
-    lo = tuple(c - radius for c in center)
-    hi = tuple(c + radius for c in center)
-    flags = (closed,) * len(center)
-    return IntervalBox(lo, hi, flags, flags)
-
-
 def preimage_bounds(m: RMatrix, box: IntervalBox) -> IntervalBox:
     """A closed box guaranteed to contain the preimage M^-1(box).
 

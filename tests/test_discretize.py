@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import direct_round_image
-from quasigrid.cutproject import enumerate_model_set, iterated_scheme
+from quasigrid.cutproject import (
+    _scaled_constraints,
+    enumerate_model_set,
+    iterated_scheme,
+)
 from quasigrid.discretize import (
     MapChain,
     _cos_sin_turn,
@@ -18,6 +22,7 @@ from quasigrid.discretize import (
     sample_sl2_chain,
 )
 from quasigrid.errors import DomainError, FormatError
+from quasigrid.latticeenum import _fits_int64
 from quasigrid.pointset import PointSet
 from quasigrid.ratmath import RMatrix
 from quasigrid.rng import RngState
@@ -97,9 +102,12 @@ class TestApplyChain:
         assert list(out.points) == direct_round_image([a], 4)
 
     def test_one_dimensional_chain(self):
-        a = RMatrix.from_rows([[Fraction(3, 2)]])
-        out = apply_chain(MapChain(1, (a,)), 10)
-        assert list(out.points) == direct_round_image([a], 10)
+        for entries in ([Fraction(3, 2)], [Fraction(-5, 3)],
+                        [Fraction(3, 2), Fraction(-2, 7)],
+                        [Fraction(-5, 3), Fraction(2, 7), Fraction(-9, 4)]):
+            mats = [RMatrix.from_rows([[e]]) for e in entries]
+            out = apply_chain(MapChain(1, tuple(mats)), 10)
+            assert list(out.points) == direct_round_image(mats, 10), entries
 
     def test_three_dimensional_chain(self):
         # n >= 3 takes the box-preimage fallback instead of polygons
@@ -222,6 +230,17 @@ class TestWitness:
     def test_agreement_returns_none(self):
         chain = MapChain(2, (RMatrix.identity(2),))
         assert chain_model_witness(chain, 10) is None
+
+    @pytest.mark.parametrize("k, radius", [(1, 4), (2, 5), (3, 4)])
+    def test_sl2_chain_agrees(self, k, radius):
+        # entries with denominator 2**32 push the iterated scheme's integer
+        # system past int64, so this runs the solver on Python ints
+        chain = sample_sl2_chain(RngState(100 + k), k)
+        scheme = iterated_scheme(chain.matrices)
+        cons, _ = _scaled_constraints(scheme, scheme.window.boxes[0],
+                                      (Fraction(0),) * 2, Fraction(radius))
+        assert not _fits_int64(cons)
+        assert chain_model_witness(chain, radius) is None
 
     def test_corrupted_window_yields_boundary_witness(self):
         # closing the lower window face admits both roundings of exact ties;

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
 from quasigrid.discretize import _hat_int_array, hat_point
+from quasigrid.errors import BudgetError
 from quasigrid.latticeenum import (
     IntConstraints,
     _fits_int64,
@@ -55,11 +57,14 @@ def test_both_paths_match_brute_force():
         assert slow == expected
 
 
-def test_scaled_up_system_takes_bigint_path():
-    # multiplying rows and bounds by a huge factor keeps the solution set
-    # but pushes the worst-case bound past int64
-    rng = RngState(91)
-    for _ in range(10):
+def scaled_systems(seed, count=10):
+    """Seeded (system, copy with rows and bounds times 2**45) pairs.
+
+    The scaling keeps the solution set but pushes the worst-case bound past
+    int64, so the copy is solved on Python ints.
+    """
+    rng = RngState(seed)
+    for _ in range(count):
         cons = random_system(rng)
         factor = 1 << 45
         big = IntConstraints(
@@ -69,10 +74,40 @@ def test_scaled_up_system_takes_bigint_path():
             cons.var_lo,
             cons.var_hi,
         )
+        yield cons, big
+
+
+def test_scaled_up_system_takes_bigint_path():
+    for cons, big in scaled_systems(91):
         assert _fits_int64(cons)
         assert not _fits_int64(big)
         assert (sorted(solve_integer_box(big, 10**8))
                 == sorted(solve_integer_box(cons, 10**8)))
+
+
+def test_budget_charge_matches_between_dtypes():
+    for cons, big in scaled_systems(91):
+        order = _choose_order(big)
+        small_meter, big_meter = _BudgetMeter(10**8), _BudgetMeter(10**8)
+        _solve_numpy(cons, order, small_meter)
+        _solve_python(big, order, big_meter)
+        visited = big_meter.visited
+        assert visited == small_meter.visited
+        with pytest.raises(BudgetError):
+            solve_integer_box(big, visited - 1)
+        assert (sorted(solve_integer_box(big, visited))
+                == sorted(solve_integer_box(cons, visited)))
+
+
+@pytest.mark.parametrize("bound, fits", [(10**9, True), (1 << 1100, False)],
+                         ids=["1e9", "2**1100"])
+def test_budget_error_on_huge_ranges(bound, fits):
+    # 2**1100 is past the float range, so the pre-check must not sum in floats
+    cons = IntConstraints([(1, 0), (0, 1)], [-bound] * 2, [bound] * 2,
+                          [-bound] * 2, [bound] * 2)
+    assert _fits_int64(cons) == fits
+    with pytest.raises(BudgetError):
+        solve_integer_box(cons, 10**8)
 
 
 def test_hat_array_bigint_fallback_matches_pointwise():
