@@ -8,7 +8,6 @@ infinity norm, and balls are open: B(x, R) = {y : |x_i - y_i| < R for all i}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -36,8 +35,13 @@ def vec(coords: Iterable) -> Vec:
 
 
 def round_scalar(x) -> int:
-    """The unique integer k with k - 1/2 < x <= k + 1/2 (ties go down)."""
-    return math.ceil(rat(x) - HALF)
+    """The unique integer k with k - 1/2 < x <= k + 1/2 (ties go down).
+
+    For x = n/d (d > 0) this is ceil(x - 1/2) = ceil((2n - d) / 2d), taken in
+    integer arithmetic so no intermediate Fraction is built and reduced.
+    """
+    n, d = rat(x).as_integer_ratio()
+    return -((d - 2 * n) // (2 * d))
 
 
 def round_vector(x: Sequence) -> Vec:
