@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .pointset import PointSet, delone_estimate, sym_diff, translate
-from .ratmath import Vec, ball_volume, inf_norm, rat, vec, vec_sub
+from .ratmath import Vec, _scale_to_ints, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
 
@@ -69,22 +68,18 @@ def _sweep_extrema(points: Sequence[Vec], dim: int, radius: Fraction,
         return 0, 0
     if dim > 2:
         return _grid_extrema(points, dim, radius, region)
-    denoms = {radius.denominator}
-    for p in points:
-        denoms.update(c.denominator for c in p)
-    for lo, hi in region:
-        denoms.update((lo.denominator, hi.denominator))
-    scale = 4 * math.lcm(*denoms)
-    rad = int(radius * scale)
-    iregion = [(int(lo * scale), int(hi * scale)) for lo, hi in region]
+    _, keys, (rad, *bounds) = _scale_to_ints(
+        points, dim, radius, *itertools.chain.from_iterable(region))
+    rad *= 4
+    iregion = [(4 * lo, 4 * hi) for lo, hi in zip(bounds[::2], bounds[1::2])]
     if dim == 1:
-        coords = sorted(int(p[0] * scale) for p in points)
+        coords = sorted(4 * x for x, in keys)
         counts = [
             _count_1d(coords, x, rad)
             for x in _axis_candidates(coords, rad, *iregion[0])
         ]
         return min(counts), max(counts)
-    pts = sorted((int(p[0] * scale), int(p[1] * scale)) for p in points)
+    pts = sorted((4 * x, 4 * y) for x, y in keys)
     axis0 = [p[0] for p in pts]
     x_cands = _axis_candidates(axis0, rad, *iregion[0])
     y_cands = _axis_candidates([p[1] for p in pts], rad, *iregion[1])

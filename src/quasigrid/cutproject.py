@@ -188,9 +188,10 @@ def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
                 sum(a * ci for a, ci in zip(row, c)) for row in p2_rows
             )
             points[coords] = tuple(Fraction(x, scale) for x in coords)
-    unique = set(points.values())
-    patch = PointSet.build(scheme.n, unique, center, radius)
-    return ModelSetPatch(scheme, patch, len(accepted) - len(unique))
+    # boxes on different scales can reach one point under different int keys;
+    # build deduplicates them
+    patch = PointSet.build(scheme.n, points.values(), center, radius)
+    return ModelSetPatch(scheme, patch, len(accepted) - len(patch))
 
 
 def translation_set(scheme: CutProjectScheme, eta, radius,

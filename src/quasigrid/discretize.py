@@ -32,7 +32,6 @@ from .ratmath import (
     IntervalBox,
     RMatrix,
     Vec,
-    inf_norm,
     invert_matrix,
     preimage_bounds,
     rat,
@@ -262,14 +261,10 @@ def apply_chain(chain: MapChain, r_out, budget: int | None = None,
     pts = _region_int_points(region, chain.dim, budget)
     for a in chain.matrices:
         pts = _hat_int_array(a, pts)
-    if pts.dtype == np.int64 and pts.shape[0]:
-        # cheap superset screen; the exact strict test runs below
-        pts = pts[(np.abs(pts) <= math.ceil(r_out)).all(axis=1)]
-    points = []
-    for row in pts.tolist():
-        p = tuple(Fraction(int(x)) for x in row)
-        if inf_norm(p) < r_out:
-            points.append(p)
+    # for an integer x, |x| < r_out exactly when |x| <= ceil(r_out) - 1;
+    # the comparison is exact on int64 and on object rows of Python ints
+    pts = pts[(np.abs(pts) <= math.ceil(r_out) - 1).all(axis=1)]
+    points = [tuple(map(Fraction, row)) for row in pts.tolist()]
     return PointSet.build(chain.dim, points, (0,) * chain.dim, r_out)
 
 

@@ -11,18 +11,30 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, FormatError
-from .ratmath import Vec, inf_norm, rat, vec, vec_add, vec_sub
+from .ratmath import Vec, _scale_to_ints, inf_norm, rat, vec, vec_add, vec_sub
 from .textio import format_rational, parse_int, parse_rational, split_lines
+
+_Keys = list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sorted, deduplicated rational points inside an open ball domain."""
+    """Sorted, deduplicated rational points inside an open ball domain.
+
+    The points are handled through integer keys: with L a common multiple
+    of the coordinate denominators, point p has key p * L as a tuple of
+    ints.  Keys sort, compare and test the ball exactly as the points do,
+    so canonical order, set algebra and domain checks run on ints and
+    Fractions are only carried through.
+    """
 
     dim: int
     points: tuple[Vec, ...]
@@ -41,16 +53,37 @@ class PointSet:
             raise DimensionMismatchError("domain center does not match dim")
         if radius_f <= 0:
             raise ValueError("domain radius must be positive")
-        canon = sorted({vec(p) for p in points})
-        for p in canon:
-            if len(p) != dim:
-                raise DimensionMismatchError(f"point {p} does not have dim {dim}")
-            if inf_norm(vec_sub(p, center_v)) >= radius_f:
-                raise DomainError(
-                    f"point {p} is outside the open domain ball "
-                    f"B({center_v}, {radius_f})"
-                )
-        return cls(dim, tuple(canon), center_v, radius_f, complete)
+        pts = list(points)
+        if (set(map(type, pts)) - {tuple}
+                or set(map(type, itertools.chain.from_iterable(pts))) - {Fraction}):
+            pts = [p if type(p) is tuple and set(map(type, p)) <= {Fraction}
+                   else vec(p) for p in pts]
+        if set(map(len, pts)) - {dim}:
+            bad = min(p for p in pts if len(p) != dim)
+            raise DimensionMismatchError(f"point {bad} does not have dim {dim}")
+        _, keys, (r, *c) = _scale_to_ints(pts, dim, radius_f, *center_v)
+        canon = dict(zip(keys, pts))
+        order = sorted(canon)
+        inside = _inside(order, c, r)
+        if len(inside) < len(order):
+            first = next((i for i, j in enumerate(inside) if i != j), len(inside))
+            raise DomainError(
+                f"point {canon[order[first]]} is outside the open domain ball "
+                f"B({center_v}, {radius_f})"
+            )
+        return cls(dim, tuple(map(canon.__getitem__, order)), center_v,
+                   radius_f, complete)
+
+    @cached_property
+    def _keys(self) -> tuple[int, _Keys]:
+        """(L, keys) for the points, L a common multiple of their denominators.
+
+        build does not keep its keys, so a set that is only stored or written
+        holds no second copy of its points; translate, sym_diff and restrict
+        set this on their results, which are usually operated on again.
+        """
+        scale, keys, _ = _scale_to_ints(self.points, self.dim)
+        return scale, keys
 
     def __len__(self) -> int:
         return len(self.points)
@@ -68,6 +101,41 @@ class PointSet:
             )
 
 
+def _with_keys(s: PointSet, scale: int, keys: _Keys) -> PointSet:
+    s.__dict__["_keys"] = (scale, keys)
+    return s
+
+
+def _group(flat: Iterable[int], dim: int) -> list[tuple]:
+    """Consecutive runs of dim values as tuples."""
+    return list(zip(*[iter(flat)] * dim))
+
+
+def _keys_at(s: PointSet, scale: int) -> _Keys:
+    """The keys of s rescaled to scale, a multiple of its own."""
+    own, keys = s._keys
+    if scale == own:
+        return keys
+    return _group(map(operator.mul, itertools.chain.from_iterable(keys),
+                      itertools.repeat(scale // own)), s.dim)
+
+
+def _times(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def _inside(keys: _Keys, center: Sequence[int], radius: int) -> Sequence[int]:
+    """Indices of the sorted keys strictly inside the cube of the given
+    center and radius, all on the keys' scale."""
+    lo = bisect.bisect_left(keys, (center[0] - radius + 1,))
+    hi = bisect.bisect_left(keys, (center[0] + radius,), lo)
+    idx: Sequence[int] = range(lo, hi)
+    for axis in range(1, len(center)):
+        a, b = center[axis] - radius, center[axis] + radius
+        idx = [i for i in idx if a < keys[i][axis] < b]
+    return idx
+
+
 @dataclass(frozen=True)
 class DelonePair:
     """Uniform discreteness radius and an estimated covering radius."""
@@ -77,12 +145,22 @@ class DelonePair:
 
 
 def translate(s: PointSet, v: Sequence) -> PointSet:
-    """Shift every point and the domain ball by v."""
+    """Shift every point and the domain ball by v.
+
+    A shift keeps lexicographic order and ball membership, so the result
+    needs no sort and no check: its keys are the old ones plus v * L.
+    """
     v = vec(v)
     if len(v) != s.dim:
         raise DimensionMismatchError(f"translate: dim {s.dim} vs vector {len(v)}")
-    return PointSet.build(s.dim, (vec_add(p, v) for p in s.points),
-                          vec_add(s.center, v), s.radius, s.complete)
+    scale = math.lcm(s._keys[0], *(c.denominator for c in v))
+    keys = _keys_at(s, scale)
+    flat = list(map(operator.add, itertools.chain.from_iterable(keys),
+                    itertools.cycle([_times(c, scale) for c in v])))
+    points = tuple(_group([Fraction(x, scale) for x in flat], s.dim))
+    return _with_keys(
+        PointSet(s.dim, points, vec_add(s.center, v), s.radius, s.complete),
+        scale, _group(flat, s.dim))
 
 
 def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
@@ -101,10 +179,17 @@ def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
 def sym_diff(s: PointSet, t: PointSet) -> PointSet:
     """Exact symmetric difference on the largest common domain ball."""
     center, radius = common_domain(s, t)
-    diff = set(s.points) ^ set(t.points)
-    inside = [p for p in diff if inf_norm(vec_sub(p, center)) < radius]
-    return PointSet.build(s.dim, inside, center, radius,
-                          s.complete and t.complete)
+    scale = math.lcm(s._keys[0], t._keys[0], radius.denominator,
+                     *(c.denominator for c in center))
+    in_s = dict(zip(_keys_at(s, scale), s.points))
+    in_t = dict(zip(_keys_at(t, scale), t.points))
+    diff = sorted(in_s.keys() ^ in_t.keys())
+    keys = [diff[i] for i in _inside(diff, [_times(c, scale) for c in center],
+                                     _times(radius, scale))]
+    points = tuple(in_s[k] if k in in_s else in_t[k] for k in keys)
+    return _with_keys(
+        PointSet(s.dim, points, center, radius, s.complete and t.complete),
+        scale, keys)
 
 
 def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
@@ -120,8 +205,14 @@ def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
             f"B({center}, {radius}) exceeds the known-complete ball "
             f"B({s.center}, {s.radius})"
         )
-    kept = [p for p in s.points if inf_norm(vec_sub(p, center)) < radius]
-    return PointSet.build(s.dim, kept, center, radius, s.complete)
+    scale = math.lcm(s._keys[0], radius.denominator,
+                     *(c.denominator for c in center))
+    keys = _keys_at(s, scale)
+    kept = _inside(keys, [_times(c, scale) for c in center], _times(radius, scale))
+    return _with_keys(
+        PointSet(s.dim, tuple(map(s.points.__getitem__, kept)), center, radius,
+                 s.complete),
+        scale, list(map(keys.__getitem__, kept)))
 
 
 def _min_pairwise_distance(points: Sequence[Vec]) -> Fraction:
@@ -224,9 +315,9 @@ def loads_qps(text: str) -> PointSet:
         if len(tokens) != dim:
             raise FormatError(f"point line has {len(tokens)} coordinates, not {dim}")
         points.append(tuple(parse_rational(t) for t in tokens))
-    for prev, cur in zip(points, points[1:]):
-        if prev >= cur:
-            raise FormatError("QPS point lines are not in canonical order")
+    _, keys, _ = _scale_to_ints(points, dim)
+    if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+        raise FormatError("QPS point lines are not in canonical order")
     try:
         return PointSet.build(dim, points, center, radius)
     except (DomainError, ValueError, DimensionMismatchError) as exc:

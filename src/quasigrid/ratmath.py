@@ -8,6 +8,8 @@ infinity norm, and balls are open: B(x, R) = {y : |x_i - y_i| < R for all i}.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -32,6 +34,24 @@ def rat(x) -> Fraction:
 
 def vec(coords: Iterable) -> Vec:
     return tuple(rat(c) for c in coords)
+
+
+def _scale_to_ints(points: Iterable[Sequence[Fraction]], dim: int,
+                   *scalars: Fraction) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """Put rational points and scalars on one common denominator.
+
+    Returns (L, keys, ints): L is the lcm of the denominators of every point
+    coordinate and every scalar, keys[i] is points[i] * L as a tuple of ints
+    and ints[j] is scalars[j] * L.  Each point must have exactly dim Fraction
+    coordinates.  Scaling by L > 0 keeps equality, lexicographic order and
+    strict inequalities, so the keys can stand in for the points.
+    """
+    ratios = list(map(Fraction.as_integer_ratio,
+                      itertools.chain(scalars, itertools.chain.from_iterable(points))))
+    scale = math.lcm(*{d for _, d in ratios})
+    flat = iter([n * (scale // d) for n, d in ratios])
+    ints = list(itertools.islice(flat, len(scalars)))
+    return scale, list(zip(*[flat] * dim)), ints
 
 
 def round_scalar(x) -> int:

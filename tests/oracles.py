@@ -187,3 +187,33 @@ def naive_sup_half_grid(values, center, dom_radius, radius):
                  - bisect.bisect_right(vals, c - radius))
         best = max(best, count)
     return best
+
+
+def canonical_points(dim, points, center, radius):
+    """A point set from its definition: the distinct points as Fraction
+    tuples in lexicographic order, each with dim coordinates and strictly
+    inside the open infinity-norm ball B(center, radius).  Raises the
+    library's error types for a point of the wrong length or outside."""
+    from quasigrid.errors import DimensionMismatchError, DomainError
+
+    center = tuple(Fraction(c) for c in center)
+    radius = Fraction(radius)
+    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    if any(len(p) != dim for p in pts):
+        raise DimensionMismatchError("point of the wrong dimension")
+    for p in pts:
+        if max(abs(a - b) for a, b in zip(p, center)) >= radius:
+            raise DomainError("point outside the open ball")
+    return pts
+
+
+def common_ball(center_a, radius_a, center_b, radius_b):
+    """Center and radius of the largest cube inside both open cubes."""
+    from quasigrid.errors import DomainError
+
+    lo = [max(a - radius_a, b - radius_b) for a, b in zip(center_a, center_b)]
+    hi = [min(a + radius_a, b + radius_b) for a, b in zip(center_a, center_b)]
+    radius = min((h - l) / 2 for l, h in zip(lo, hi))
+    if radius <= 0:
+        raise DomainError("the cubes do not overlap")
+    return tuple((l + h) / 2 for l, h in zip(lo, hi)), radius

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from quasigrid.pointset import (
     write_qps,
 )
 from quasigrid.rng import RngState
+from oracles import canonical_points, common_ball
 
 
 def line(lo, hi, step=1, radius=None, center=0):
@@ -196,6 +198,9 @@ class TestQpsFormat:
             "qps 1\ndim 1\ndomain 0 2\n5\n",         # out of domain
             "qps 1\ndim 1\ndomain 0 2\n1 2\n",       # wrong coordinate count
             "qps 1\ndim 1\ndomain 0 2",              # missing trailing newline
+            "qps 1\ndim 1\ndomain 0 2\n1\n1\n",      # duplicated point
+            "qps 1\ndim 1\ndomain 0 2\n1/2\n1/3\n",  # mixed denominators, unsorted
+            "qps 1\ndim 2\ndomain 0 0 2\n1/3 1\n1/3 1/2\n",  # second axis unsorted
         ],
     )
     def test_rejects_malformed(self, text):
@@ -206,3 +211,134 @@ class TestQpsFormat:
         s = PointSet.build(1, [(0,)], (0,), 2, complete=False)
         with pytest.raises(DomainError):
             dumps_qps(s)
+
+
+# --- differential test against the definition -------------------------------
+
+DENOMINATORS = ([1], [2, 3, 5, 6, 7], [1 << 32])
+
+
+def random_rational(rng, dens, span):
+    den = dens[rng.randrange(len(dens))]
+    return Fraction(rng.randrange(2 * span * den + 1) - span * den, den)
+
+
+def random_input_point(rng, p):
+    """The same point as Fractions, ints where integral, a list or a mix."""
+    form = rng.randrange(4)
+    if form == 0:
+        return p
+    if form == 1:
+        return [c for c in p]
+    return tuple(int(c) if c.denominator == 1 and (form == 2 or i % 2) else c
+                 for i, c in enumerate(p))
+
+
+def random_set(rng, dim, dens, rim=False):
+    """(points as given to build, center, radius); every point is strictly
+    inside the ball, unless rim puts one exactly on its boundary."""
+    center = tuple(random_rational(rng, dens, 3) for _ in range(dim))
+    radius = abs(random_rational(rng, dens, 4)) + Fraction(1, 2)
+    pts = []
+    for _ in range(rng.randrange(25)):
+        p = tuple(c + random_rational(rng, dens, 4) for c in center)
+        if all(abs(a - c) < radius for a, c in zip(p, center)):
+            pts.append(p)
+    pts += pts[:rng.randrange(4)]  # duplicates
+    if rim:
+        axis = rng.randrange(dim)
+        p = list(center)
+        p[axis] += radius if rng.randrange(2) else -radius
+        pts.insert(rng.randrange(len(pts) + 1), tuple(p))
+    return [random_input_point(rng, p) for p in pts], center, radius
+
+
+def expect_set(s, dim, points, center, radius):
+    assert s.dim == dim
+    assert s.points == tuple(canonical_points(dim, points, center, radius))
+    assert all(type(p) is tuple for p in s.points)
+    assert all(type(c) is Fraction for p in s.points for c in p)
+    assert s.center == tuple(center) and s.radius == radius
+
+
+class TestAgainstDefinition:
+    """build, translate, sym_diff, restrict and the QPS round trip against
+    sorted(set(points)) plus an exact inf-norm check, on seeded random sets
+    with mixed, 2^-32, negative and zero coordinates in dims 1-3."""
+
+    def test_seeded(self):
+        rng = RngState(606)
+        rims = zeros = negatives = 0
+        for trial in range(300):
+            dim = 1 + trial % 3
+            dens = DENOMINATORS[(trial // 3) % 3]
+            rim = rng.randrange(6) == 0
+            pts, center, radius = random_set(rng, dim, dens, rim)
+            if rim:
+                rims += 1
+                with pytest.raises(DomainError):
+                    canonical_points(dim, pts, center, radius)
+                with pytest.raises(DomainError):
+                    PointSet.build(dim, pts, center, radius)
+                continue
+            s = PointSet.build(dim, pts, center, radius)
+            expect_set(s, dim, pts, center, radius)
+            zeros += sum(c == 0 for p in s.points for c in p)
+            negatives += sum(c < 0 for p in s.points for c in p)
+
+            again = loads_qps(dumps_qps(s))
+            assert again == s and dumps_qps(again) == dumps_qps(s)
+
+            v = tuple(random_rational(rng, DENOMINATORS[rng.randrange(3)], 3)
+                      for _ in range(dim))
+            moved = translate(s, v)
+            shifted = [tuple(a + b for a, b in zip(p, v)) for p in s.points]
+            expect_set(moved, dim, shifted, tuple(a + b for a, b in
+                                                  zip(center, v)), radius)
+
+            # a second set on its own scale and center
+            other = DENOMINATORS[rng.randrange(3)]
+            qts, c2, r2 = random_set(rng, dim, other)
+            t = PointSet.build(dim, qts, c2, r2)
+            for a, b in ((s, t), (moved, s), (t, moved)):
+                try:
+                    mid, rad = common_ball(a.center, a.radius, b.center, b.radius)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        sym_diff(a, b)
+                    continue
+                inside = [p for p in set(a.points) ^ set(b.points)
+                          if max(abs(x - y) for x, y in zip(p, mid)) < rad]
+                d = sym_diff(a, b)
+                expect_set(d, dim, inside, mid, rad)
+                assert d.complete
+
+            sub_c = tuple(c + random_rational(rng, other, 1) / 4
+                          for c in center)
+            sub_r = radius - max(abs(a - b) for a, b in zip(sub_c, center))
+            if sub_r > 0:
+                sub_r = sub_r * (1 + rng.randrange(4)) / 4
+                inner = [p for p in s.points
+                         if max(abs(a - b) for a, b in zip(p, sub_c)) < sub_r]
+                expect_set(restrict(s, sub_c, sub_r), dim, inner, sub_c, sub_r)
+                expect_set(restrict(moved, tuple(a + b for a, b in
+                                                 zip(sub_c, v)), sub_r),
+                           dim, [tuple(a + b for a, b in zip(p, v))
+                                 for p in inner],
+                           tuple(a + b for a, b in zip(sub_c, v)), sub_r)
+        assert rims > 20 and zeros > 20 and negatives > 200
+
+    def test_directly_made_sets(self):
+        # a PointSet made without build (dataclasses.replace) works on its
+        # own points
+        s = PointSet.build(1, [(Fraction(1, 3),), (Fraction(1, 2),)], (0,), 1)
+        t = replace(s, points=((Fraction(-1, 5),), (Fraction(1, 2),)))
+        assert sym_diff(s, t).points == ((Fraction(-1, 5),), (Fraction(1, 3),))
+        assert translate(t, (Fraction(1, 7),)).points == (
+            (Fraction(-2, 35),), (Fraction(9, 14),))
+
+    def test_rejects_wrong_dimension_and_floats(self):
+        with pytest.raises(DimensionMismatchError):
+            PointSet.build(2, [(Fraction(1, 2), 0), (1, 2, 3)], (0, 0), 5)
+        with pytest.raises(TypeError):
+            PointSet.build(1, [(0.5,)], (0,), 5)
