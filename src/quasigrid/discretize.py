@@ -112,75 +112,103 @@ def _hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def _mink_cube_2d(hull, r: Fraction):
+def _mink_cube_2d(hull, r):
     return _hull_2d(
         [(x + sx * r, y + sy * r)
          for x, y in hull for sx in (-1, 1) for sy in (-1, 1)]
     )
 
 
-def _map_region_2d(inv: RMatrix, hull):
-    return _hull_2d([tuple(inv.apply(v)) for v in hull])
+def _map_region_2d(inv: RMatrix, den: int, hull):
+    """Image of an integer polygon over den under a rational matrix.
 
-
-_SNAP = Fraction(1, 1 << 13)
-
-
-def _simplify_2d(hull):
-    """Outer approximation with denominators capped at 2**13.
-
-    Inflate by a cube of radius 2*SNAP, then snap vertices to the nearest
-    grid point (error at most SNAP/2 per coordinate).  The inflation margin
-    dominates the snapping error, so the result contains the input; it keeps
-    vertex coordinates small across long preimage chains.
+    The matrix acts through its integer numerators q * inv, so the image has
+    integer vertices over den * q.
     """
-    fat = _mink_cube_2d(hull, 2 * _SNAP)
-    snapped = [
-        (round(x / _SNAP) * _SNAP, round(y / _SNAP) * _SNAP) for x, y in fat
-    ]
-    return _hull_2d(snapped)
+    q = math.lcm(*[e.denominator for row in inv.entries for e in row])
+    (a, b), (c, d) = [[int(e * q) for e in row] for row in inv.entries]
+    return den * q, _hull_2d([(a * x + b * y, c * x + d * y) for x, y in hull])
 
 
-def _column_bounds(hull, budget: int):
-    """Per integer x column, the closed y-interval of a convex hull."""
+_SNAP = 1 << 13  # simplified vertices lie on the grid of step 1/_SNAP
+
+
+def _round_half_even(n: int, d: int) -> int:
+    """The nearest integer to n/d (d > 0), ties to even like round()."""
+    k, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and k & 1):
+        k += 1
+    return k
+
+
+def _simplify_2d(den: int, hull):
+    """Outer approximation on the 1/_SNAP grid; returns (_SNAP, vertices).
+
+    Inflate by a cube of radius 2/_SNAP, then snap vertices to the nearest
+    grid point (error at most 1/(2*_SNAP) per coordinate).  The inflation
+    margin dominates the snapping error, so the result contains the input;
+    it keeps vertex coordinates small across long preimage chains.
+    """
+    up = (_SNAP // 2) // math.gcd(den, _SNAP // 2)
+    den *= up
+    fat = _mink_cube_2d([(x * up, y * up) for x, y in hull], 2 * den // _SNAP)
+    snapped = [(_round_half_even(x * _SNAP, den), _round_half_even(y * _SNAP, den))
+               for x, y in fat]
+    return _SNAP, _hull_2d(snapped)
+
+
+def _column_bounds(region, budget: int):
+    """Per integer x column, the integer y-range of a convex polygon.
+
+    region is (den, hull) with integer vertices over den; yields
+    (x, ceil(y_lo), floor(y_hi)) for every column the polygon meets.
+    """
+    den, hull = region
     if not hull:
         return
     xs = [v[0] for v in hull]
-    x_lo, x_hi = math.ceil(min(xs)), math.floor(max(xs))
+    x_lo, x_hi = -(-min(xs) // den), max(xs) // den
     if x_hi - x_lo + 1 > budget:
-        raise BudgetError("input grid for the chain exceeds the budget")
+        raise BudgetError(
+            f"input grid for the chain would span {x_hi - x_lo + 1} columns, "
+            f"more than {budget} (raise QUASIGRID_BUDGET to override)"
+        )
+    edges = list(zip(hull, hull[1:] + hull[:1]))
     for x in range(x_lo, x_hi + 1):
-        ys = []
-        count = len(hull)
-        for i in range(count):
-            p, q = hull[i], hull[(i + 1) % count]
+        xd = x * den
+        ys = []  # the polygon's y values on the column, as (num, denom)
+        for p, q in edges:
             if p[0] == q[0]:
-                if p[0] == x:
-                    ys.extend((p[1], q[1]))
-            elif min(p[0], q[0]) <= x <= max(p[0], q[0]):
-                t = (rat(x) - p[0]) / (q[0] - p[0])
-                ys.append(p[1] + t * (q[1] - p[1]))
+                if p[0] == xd:
+                    ys.extend(((p[1], den), (q[1], den)))
+            elif min(p[0], q[0]) <= xd <= max(p[0], q[0]):
+                dx = q[0] - p[0]
+                ys.append((p[1] * dx + (xd - p[0]) * (q[1] - p[1]), den * dx))
         if ys:
-            yield x, min(ys), max(ys)
+            # floor division floors for either sign of the denominator
+            yield (x, min(-(-n // d) for n, d in ys),
+                   max(n // d for n, d in ys))
 
 
 def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
     """Closed region of Z^dim inputs needed for completeness in B(0, r_out).
 
-    dim 2 propagates the exact preimage as a convex polygon; other
-    dimensions propagate the bounding-box preimage, which is exact for
-    dim 1 and sound but wider above.
+    dim 2 propagates the exact preimage as a convex polygon with integer
+    vertices over one common denominator, returned as (den, vertices);
+    other dimensions propagate the bounding-box preimage, which is exact
+    for dim 1 and sound but wider above.
     """
     n = chain.dim
     if n == 2:
-        region = [(-r_out, -r_out), (-r_out, r_out), (r_out, r_out),
-                  (r_out, -r_out)]
+        den = 2 * r_out.denominator
+        r = 2 * r_out.numerator
+        region = [(-r, -r), (-r, r), (r, r), (r, -r)]
         for a in reversed(chain.matrices):
-            inv = invert_matrix(a)
-            region = _simplify_2d(
-                _map_region_2d(inv, _mink_cube_2d(region, HALF))
-            )
-        return [(x * scale, y * scale) for x, y in _hull_2d(region)]
+            den, region = _map_region_2d(
+                invert_matrix(a), den, _mink_cube_2d(region, den // 2))
+            den, region = _simplify_2d(den, region)
+        s, t = scale.as_integer_ratio()
+        return den * t, [(x * s, y * s) for x, y in region]
     box = IntervalBox.closed((-r_out,) * n, (r_out,) * n)
     for a in reversed(chain.matrices):
         grown = IntervalBox.closed(
@@ -192,24 +220,21 @@ def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
 
 
 def _region_int_points(region, n: int, budget: int) -> np.ndarray:
-    rows: list[tuple[int, ...]] = []
     if n == 2:
-        total = 0
-        for x, y_lo, y_hi in _column_bounds(region, budget):
-            a, b = math.ceil(y_lo), math.floor(y_hi)
-            total += max(0, b - a + 1)
-            if total > budget:
-                raise BudgetError("input grid for the chain exceeds the budget")
-            rows.extend((x, y) for y in range(a, b + 1))
+        cols = list(_column_bounds(region, budget))
+        total = sum(max(0, b - a + 1) for _, a, b in cols)
+        rows = ((x, y) for x, a, b in cols for y in range(a, b + 1))
     else:
         spans = [range(math.ceil(l), math.floor(h) + 1)
                  for l, h in zip(region.lo, region.hi)]
-        total = 1
-        for span in spans:
-            total *= max(0, len(span))
-        if total > budget:
-            raise BudgetError("input grid for the chain exceeds the budget")
-        rows = list(itertools.product(*spans))
+        total = math.prod(map(len, spans))
+        rows = itertools.product(*spans)
+    if total > budget:
+        raise BudgetError(
+            f"input grid for the chain would hold {total} points, "
+            f"more than {budget} (raise QUASIGRID_BUDGET to override)"
+        )
+    rows = list(rows)
     if not rows:
         return np.empty((0, n), dtype=np.int64)
     return np.array(rows, dtype=np.int64)

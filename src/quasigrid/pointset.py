@@ -242,16 +242,15 @@ def delone_estimate(s: PointSet) -> DelonePair:
     if len(s) < 2:
         raise ValueError("delone_estimate needs at least two points")
     r_gamma = _min_pairwise_distance(s.points) / 2
-    step = r_gamma
-    lo = [min(p[i] for p in s.points) for i in range(s.dim)]
-    hi = [max(p[i] for p in s.points) for i in range(s.dim)]
+    # the grid and the distances run on integer keys p * L
+    scale, keys, (step,) = _scale_to_ints(s.points, s.dim, r_gamma)
     axes = []
-    for a, b in zip(lo, hi):
-        count = int((b - a) / step) + 1
-        axes.append([a + k * step for k in range(count)] + [b])
+    for i in range(s.dim):
+        a, b = min(k[i] for k in keys), max(k[i] for k in keys)
+        axes.append([*range(a, b + 1, step), b])
     if s.dim == 1:
-        coords = sorted(p[0] for p in s.points)
-        best = Fraction(0)
+        coords = sorted(k[0] for k in keys)
+        best = 0
         for x in axes[0]:
             i = bisect.bisect_left(coords, x)
             nearest = min(
@@ -260,11 +259,11 @@ def delone_estimate(s: PointSet) -> DelonePair:
             if nearest > best:
                 best = nearest
     else:
-        best = Fraction(0)
-        for x in itertools.product(*axes):
-            nearest = min(inf_norm(vec_sub(p, x)) for p in s.points)
-            if nearest > best:
-                best = nearest
+        best = max(
+            min(max(map(abs, map(operator.sub, k, x))) for k in keys)
+            for x in itertools.product(*axes)
+        )
+    best = Fraction(best, scale)
     # the midpoint of the closest pair always carries an empty ball of
     # radius r_gamma, so the estimate never sits below it
     return DelonePair(r_gamma, max(best, r_gamma))

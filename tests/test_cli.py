@@ -202,6 +202,12 @@ class TestExitCodes:
         assert main(["gen", "zn", "--dim", "2", "--radius", "40",
                      "--out", str(tmp_path / "z.qps")]) == 3
 
+    def test_iterate_over_budget_exits_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUASIGRID_BUDGET", "50")
+        assert main(["iterate", "--seed", "42", "--k", "2", "--radius", "20",
+                     "--out", str(tmp_path / "i.qps")]) == 3
+        assert "more than 50 (raise QUASIGRID_BUDGET" in capsys.readouterr().err
+
 
 def test_gen_output_round_trips_through_tools(tmp_path, residue_file):
     qps = tmp_path / "res.qps"

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import direct_round_image
@@ -13,6 +14,8 @@ from quasigrid.discretize import (
     MapChain,
     _cos_sin_turn,
     _exp,
+    _input_region,
+    _region_int_points,
     apply_chain,
     apply_hat,
     chain_model_witness,
@@ -21,10 +24,10 @@ from quasigrid.discretize import (
     rotation_stretch_matrix,
     sample_sl2_chain,
 )
-from quasigrid.errors import DomainError, FormatError
+from quasigrid.errors import BudgetError, DomainError, FormatError
 from quasigrid.latticeenum import _fits_int64
 from quasigrid.pointset import PointSet
-from quasigrid.ratmath import RMatrix
+from quasigrid.ratmath import RMatrix, invert_matrix
 from quasigrid.rng import RngState
 
 
@@ -33,6 +36,80 @@ def int_grid(radius):
     pts = [(Fraction(x), Fraction(y)) for x in span for y in span
            if abs(x) < radius and abs(y) < radius]
     return PointSet.build(2, pts, (0, 0), radius)
+
+
+# --- Fraction reference for the dimension-2 input polygon ---------------------
+#
+# The polygon code as it was written on Fraction vertices, kept here only as
+# the reference for the integer-vertex version in quasigrid.discretize.
+
+
+def ref_hull_2d(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def ref_mink_cube_2d(hull, r):
+    return ref_hull_2d([(x + sx * r, y + sy * r)
+                        for x, y in hull for sx in (-1, 1) for sy in (-1, 1)])
+
+
+REF_SNAP = Fraction(1, 1 << 13)
+
+
+def ref_simplify_2d(hull):
+    fat = ref_mink_cube_2d(hull, 2 * REF_SNAP)
+    return ref_hull_2d([(round(x / REF_SNAP) * REF_SNAP,
+                         round(y / REF_SNAP) * REF_SNAP) for x, y in fat])
+
+
+def ref_input_polygon(chain, r_out, scale):
+    half = Fraction(1, 2)
+    region = [(-r_out, -r_out), (-r_out, r_out), (r_out, r_out), (r_out, -r_out)]
+    for a in reversed(chain.matrices):
+        inv = invert_matrix(a)
+        region = ref_simplify_2d(ref_hull_2d(
+            [tuple(inv.apply(v)) for v in ref_mink_cube_2d(region, half)]))
+    return [(x * scale, y * scale) for x, y in ref_hull_2d(region)]
+
+
+def ref_input_grid(hull):
+    rows = []
+    xs = [v[0] for v in hull]
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        ys = []
+        for i in range(len(hull)):
+            p, q = hull[i], hull[(i + 1) % len(hull)]
+            if p[0] == q[0]:
+                if p[0] == x:
+                    ys.extend((p[1], q[1]))
+            elif min(p[0], q[0]) <= x <= max(p[0], q[0]):
+                t = (Fraction(x) - p[0]) / (q[0] - p[0])
+                ys.append(p[1] + t * (q[1] - p[1]))
+        if ys:
+            rows.extend((x, y) for y in range(math.ceil(min(ys)),
+                                              math.floor(max(ys)) + 1))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def diag(a, b):
+    return RMatrix.from_rows([[a, 0], [0, b]])
 
 
 class TestApplyHat:
@@ -97,9 +174,19 @@ class TestApplyChain:
         assert direct.points == modeled.patch.points
 
     def test_halving_matches_direct_loop(self):
-        a = RMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]])
-        out = apply_chain(MapChain(2, (a,)), 4)
-        assert list(out.points) == direct_round_image([a], 4)
+        # a halving map, then k = 2 and 3 rational chains at non-integer radii
+        half = RMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]])
+        shear = RMatrix.from_rows([[1, Fraction(-2, 3)], [0, 1]])
+        mix = RMatrix.from_rows([[Fraction(3, 4), Fraction(1, 5)],
+                                 [Fraction(-1, 2), Fraction(5, 4)]])
+        turn = RMatrix.from_rows([[0, -1], [Fraction(3, 2), Fraction(1, 3)]])
+        for mats, r_out in (([half], 4), ([half], Fraction(9, 2)),
+                            ([shear, mix], Fraction(13, 3)),
+                            ([mix, turn], Fraction(7, 2)),
+                            ([half, shear, mix], Fraction(11, 4)),
+                            ([turn, mix, shear], Fraction(17, 5))):
+            out = apply_chain(MapChain(2, tuple(mats)), r_out)
+            assert list(out.points) == direct_round_image(mats, r_out, margin=2)
 
     def test_one_dimensional_chain(self):
         for entries in ([Fraction(3, 2)], [Fraction(-5, 3)],
@@ -142,12 +229,13 @@ class TestApplyChain:
         rng = RngState(17)
         from quasigrid.cli import _random_invertible
 
-        for _ in range(5):
-            mats = tuple(_random_invertible(rng, 2, 6) for _ in range(2))
+        for i in range(8):
+            mats = tuple(_random_invertible(rng, 2, 6) for _ in range(2 + i % 2))
             chain = MapChain(2, mats)
-            base = apply_chain(chain, 15)
-            wide = apply_chain(chain, 15, input_scale=2)
-            assert base.points == wide.points
+            for r_out in (15, Fraction(29, 4)):
+                base = apply_chain(chain, r_out)
+                wide = apply_chain(chain, r_out, input_scale=2)
+                assert base.points == wide.points
 
     def test_random_chains_match_model_sets(self):
         # the central cross-validation: both pipelines, exact set equality
@@ -159,6 +247,19 @@ class TestApplyChain:
             mats = tuple(_random_invertible(rng, 2, 8) for _ in range(k))
             assert chain_model_witness(MapChain(2, mats), 50) is None, i
 
+    def test_budget_errors_name_the_grid_and_limit(self):
+        plane = MapChain(2, (RMatrix.identity(2),))
+        # 21 columns of 21 points each at r_out = 10
+        with pytest.raises(BudgetError, match="21 columns, more than 5 "):
+            apply_chain(plane, 10, budget=5)
+        with pytest.raises(BudgetError, match="441 points, more than 100 "):
+            apply_chain(plane, 10, budget=100)
+        assert len(apply_chain(plane, 10, budget=441)) == 19 * 19
+        space = MapChain(3, (RMatrix.identity(3),))
+        with pytest.raises(BudgetError, match="343 points, more than 100 "
+                           r"\(raise QUASIGRID_BUDGET to override\)"):
+            apply_chain(space, 3, budget=100)
+
     @pytest.mark.parametrize("k", [6, 8])
     def test_long_random_chains_match_model_sets(self, k):
         # iterated schemes of dimension 2 (k + 1) = 14 and 18
@@ -167,6 +268,78 @@ class TestApplyChain:
         rng = RngState(31)
         mats = tuple(_random_invertible(rng, 2, 4) for _ in range(k))
         assert chain_model_witness(MapChain(2, mats), 8) is None
+
+
+class TestInputPolygon:
+    """The integer-vertex input polygon against the Fraction reference."""
+
+    @staticmethod
+    def assert_matches(chain, r_out, scale=1):
+        r_out, scale = Fraction(r_out), Fraction(scale)
+        region = _input_region(chain, r_out, scale)
+        expected = ref_input_polygon(chain, r_out, scale)
+        den, verts = region
+        assert [(Fraction(x, den), Fraction(y, den)) for x, y in verts] == expected
+        got = _region_int_points(region, 2, 10**7)
+        assert np.array_equal(got, ref_input_grid(expected))
+
+    @pytest.mark.parametrize("k, r_out", [
+        (1, 21), (2, Fraction(7, 3)), (5, Fraction(5, 7)), (12, 9), (20, 21),
+    ])
+    def test_sl2_chains(self, k, r_out):
+        chain = sample_sl2_chain(RngState(200 + k), k)
+        self.assert_matches(chain, r_out)
+        self.assert_matches(chain, r_out, Fraction(3, 2))
+
+    def test_random_rational_chains(self):
+        # entries p/q with |p| <= 2q, so zeros and negatives come up
+        from quasigrid.cli import _random_invertible
+
+        rng = RngState(41)
+        for i in range(16):
+            mats = tuple(_random_invertible(rng, 2, 6) for _ in range(1 + i % 4))
+            chain = MapChain(2, mats)
+            self.assert_matches(chain, Fraction(7, 3))
+            self.assert_matches(chain, Fraction(5, 7), Fraction(3, 2))
+
+    def test_zero_and_negative_entries(self):
+        mats = (
+            RMatrix.from_rows([[0, Fraction(-3, 2)], [Fraction(2, 5), 0]]),
+            RMatrix.from_rows([[-1, 0], [Fraction(1, 3), -2]]),
+            RMatrix.from_rows([[Fraction(-5, 4), 1], [0, Fraction(3, 7)]]),
+        )
+        for k in (1, 2, 3):
+            for r_out in (Fraction(7, 3), Fraction(5, 7), 6):
+                self.assert_matches(MapChain(2, mats[:k]), r_out)
+                self.assert_matches(MapChain(2, mats[-k:]), r_out, Fraction(3, 2))
+
+    def test_axis_parallel_edges(self):
+        # identity and diagonal maps keep vertical edges; at r_out
+        # 5/2 - 2**-12 they sit exactly on the columns x = -3 and x = 3
+        for mats in ((RMatrix.identity(2),),
+                     (diag(2, Fraction(1, 3)),),
+                     (diag(Fraction(-3, 2), Fraction(5, 4)), RMatrix.identity(2))):
+            for r_out in (Fraction(7, 3), Fraction(5, 7), Fraction(10239, 4096), 4):
+                for scale in (1, Fraction(3, 2)):
+                    self.assert_matches(MapChain(2, mats), r_out, scale)
+        den, verts = _input_region(MapChain(2, (RMatrix.identity(2),)),
+                                   Fraction(10239, 4096), Fraction(1))
+        assert sorted({Fraction(x, den) for x, _ in verts}) == [-3, 3]
+
+    def test_snap_tie_goes_to_even(self):
+        # at r_out = 2**-14 the x extent 2**-14 + 1/2 + 2**-12 is exactly
+        # halfway between the grid points (2**12 + 2) / 2**13 and
+        # (2**12 + 3) / 2**13; round() picks the even one, and scaling the
+        # region by 2732 puts the two choices on either side of x = 1367
+        chain = MapChain(2, (diag(1, 8192),))
+        r_out = Fraction(1, 1 << 14)
+        den, verts = _input_region(chain, r_out, Fraction(1))
+        assert (den, max(x for x, _ in verts)) == (8192, 4096 + 2)
+        self.assert_matches(chain, r_out)
+        self.assert_matches(chain, r_out, 2732)
+        grid = _region_int_points(_input_region(chain, r_out, Fraction(2732)),
+                                  2, 10**7)
+        assert grid[:, 0].max() == 1366
 
 
 class TestSl2Sampler:

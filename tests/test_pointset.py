@@ -1,6 +1,7 @@
 import io
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -158,6 +159,33 @@ class TestDeloneEstimate:
             s = PointSet.build(2, pts, (0, 0), 25)
             pair = delone_estimate(s)
             assert pair.R_gamma >= pair.r_gamma > 0
+
+    def test_matches_fraction_grid_sweep(self):
+        # the definition in the docstring, swept on Fractions
+        def reference(pts):
+            dist = lambda p, q: max(abs(a - b) for a, b in zip(p, q))
+            r = min(dist(p, q) for p in pts for q in pts if p != q) / 2
+            axes = []
+            for i in range(len(pts[0])):
+                a, b = min(p[i] for p in pts), max(p[i] for p in pts)
+                axes.append([a + k * r for k in range(int((b - a) / r) + 1)] + [b])
+            big = max(min(dist(p, x) for p in pts) for x in product(*axes))
+            return r, max(big, r)
+
+        rng = RngState(11)
+        for trial in range(32):
+            dim = 2 + trial % 2
+            # mixed denominators 1-3 (1-2 in dim 3), or all 2**-32
+            tiny = (trial // 2) % 3 == 2
+            pts = {tuple(Fraction(rng.randrange(9) - 4,
+                                  1 << 32 if tiny else 1 + rng.randrange(4 - dim))
+                         for _ in range(dim))
+                   for _ in range(2 + rng.randrange(8))}
+            if len(pts) < 2:
+                continue
+            s = PointSet.build(dim, pts, (0,) * dim, 5)
+            pair = delone_estimate(s)
+            assert (pair.r_gamma, pair.R_gamma) == reference(s.points), trial
 
 
 class TestQpsFormat:
