@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .pointset import PointSet, delone_estimate, sym_diff, translate
+from .pointset import (PointSet, _in_box, _inside, _Keys,
+                       _min_pairwise_distance, sym_diff, translate)
 from .ratmath import Vec, _scale_to_ints, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
@@ -104,18 +108,17 @@ def _grid_extrema(points, dim, radius, region) -> tuple[int, int]:
         "grid-sampled bracket (max is a lower bound of the true sup)",
         stacklevel=3,
     )
-    patch = PointSet.build(dim, points, points[0], max(
-        inf_norm(vec_sub(p, points[0])) for p in points) + 1)
-    step = (delone_estimate(patch).r_gamma / 2 if len(points) >= 2
+    # a quarter of the least distance, half the discreteness radius r_gamma
+    distinct = sorted(set(points))
+    step = (_min_pairwise_distance(distinct) / 4 if len(distinct) >= 2
             else Fraction(1, 2))
-    axes = []
-    for lo, hi in region:
-        count = int((hi - lo) / step) + 1
-        axes.append([lo + k * step for k in range(count)] + [hi])
-    counts = [
-        sum(1 for p in points if inf_norm(vec_sub(p, x)) < radius)
-        for x in itertools.product(*axes)
-    ]
+    # the grid and the counts run on integer keys p * L
+    _, keys, (rad, istep, *bounds) = _scale_to_ints(
+        points, dim, radius, step, *itertools.chain.from_iterable(region))
+    keys.sort()
+    axes = [[*range(lo, hi + 1, istep), hi]
+            for lo, hi in zip(bounds[::2], bounds[1::2])]
+    counts = [len(_inside(keys, x, rad)) for x in itertools.product(*axes)]
     return min(counts), max(counts)
 
 
@@ -223,17 +226,18 @@ class TranslationReport:
 
 def _difference_candidates(s: PointSet, v_max: Fraction) -> list[Vec]:
     """Distinct difference vectors of the set with infinity norm <= v_max."""
-    pts = list(s.points)
-    out = {(Fraction(0),) * s.dim}
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if q[0] - p[0] > v_max:
-                break
-            d = vec_sub(q, p)
-            if inf_norm(d) <= v_max:
+    scale, keys = s._keys
+    # an integer key difference d has |d| <= v_max * L iff |d| <= floor(v_max * L)
+    bound = v_max.numerator * scale // v_max.denominator
+    out = {(0,) * s.dim}
+    for i, p in enumerate(keys):
+        end = bisect.bisect_left(keys, (p[0] + bound + 1,), i + 1)
+        for q in keys[i + 1:end]:
+            d = tuple(map(operator.sub, q, p))
+            if max(map(abs, d)) <= bound:
                 out.add(d)
                 out.add(tuple(-c for c in d))
-    return sorted(out)
+    return [tuple(Fraction(c, scale) for c in d) for d in sorted(out)]
 
 
 def _rung_ladder(r_eps: Fraction, top: Fraction) -> list[Fraction]:
@@ -357,6 +361,12 @@ def weak_ap_probe(s: PointSet, eps, radius, pair_count: int,
     from point differences near y - x (the best shift need not be y - x
     itself).  worst is the maximum of those minima; at most eps means every
     sampled pair of windows matched to within eps.
+
+    Every pair (g, h) of the windows Y x X has |g - h - (y - x)| < 2R, so the
+    candidates are all differences g - h, and |X cap (Y - v)| is the number
+    of pairs with g - h = v.  One count over the pairs, on the set's integer
+    keys, scores every shift: the mismatch |X| + |Y| - 2 count[v] is least
+    at the largest count, and ties go to the smallest v.
     """
     s.require_complete("weak_ap_probe")
     eps, radius = rat(eps), rat(radius)
@@ -364,37 +374,35 @@ def weak_ap_probe(s: PointSet, eps, radius, pair_count: int,
         raise DomainError("need 2R strictly below the domain radius")
     region = _center_region(s.center, s.radius, radius)
     volume = ball_volume(radius, s.dim)
+    scale, keys = s._keys
+    reach = radius * scale
 
     def draw_center() -> Vec:
         return tuple(lo + (hi - lo) * rng.unit() for lo, hi in region)
 
-    def window(x: Vec) -> list[Vec]:
-        return [p for p in s.points if inf_norm(vec_sub(p, x)) < radius]
+    def window(x: Vec) -> _Keys:
+        # an integer k lies strictly between (c - R) L and (c + R) L iff it
+        # lies strictly between the floor of the one and the ceiling of the other
+        lo = [math.floor(c * scale - reach) for c in x]
+        hi = [math.ceil(c * scale + reach) for c in x]
+        return [keys[i] for i in _in_box(keys, lo, hi)]
 
     witnesses = []
     worst = Fraction(0)
     for _ in range(pair_count):
         x, y = draw_center(), draw_center()
         win_x, win_y = window(x), window(y)
-        base = vec_sub(y, x)
-        cands = {
-            vec_sub(g, h)
-            for g in win_y for h in win_x
-            if inf_norm(vec_sub(vec_sub(g, h), base)) <= 2 * radius
-        }
-        if not cands:
-            cands = {base}
-        set_x = set(win_x)
-        best = None
-        for v in sorted(cands):
-            shifted = {vec_sub(g, v) for g in win_y}
-            mismatch = len(set_x) + len(shifted) - 2 * len(set_x & shifted)
-            value = Fraction(mismatch) / volume
-            if best is None or value < best[0]:
-                best = (value, v)
-        witnesses.append(WeakApWitness(x, y, best[1], best[0]))
-        if best[0] > worst:
-            worst = best[0]
+        counts = Counter(tuple(map(operator.sub, g, h))
+                         for g in win_y for h in win_x)
+        if counts:
+            top = max(counts.values())
+            v = tuple(Fraction(c, scale)
+                      for c in min(d for d, n in counts.items() if n == top))
+        else:
+            top, v = 0, vec_sub(y, x)
+        value = Fraction(len(win_x) + len(win_y) - 2 * top) / volume
+        witnesses.append(WeakApWitness(x, y, v, value))
+        worst = max(worst, value)
     return WeakApResult(worst, tuple(witnesses))
 
 

@@ -127,11 +127,18 @@ def _times(x: Fraction, scale: int) -> int:
 def _inside(keys: _Keys, center: Sequence[int], radius: int) -> Sequence[int]:
     """Indices of the sorted keys strictly inside the cube of the given
     center and radius, all on the keys' scale."""
-    lo = bisect.bisect_left(keys, (center[0] - radius + 1,))
-    hi = bisect.bisect_left(keys, (center[0] + radius,), lo)
-    idx: Sequence[int] = range(lo, hi)
-    for axis in range(1, len(center)):
-        a, b = center[axis] - radius, center[axis] + radius
+    return _in_box(keys, [c - radius for c in center],
+                   [c + radius for c in center])
+
+
+def _in_box(keys: _Keys, lo: Sequence[int], hi: Sequence[int]) -> Sequence[int]:
+    """Indices of the sorted keys k with lo[i] < k[i] < hi[i] on every axis:
+    the first axis by bisection, the others by one filter each."""
+    first = bisect.bisect_left(keys, (lo[0] + 1,))
+    last = bisect.bisect_left(keys, (hi[0],), first)
+    idx: Sequence[int] = range(first, last)
+    for axis in range(1, len(lo)):
+        a, b = lo[axis], hi[axis]
         idx = [i for i in idx if a < keys[i][axis] < b]
     return idx
 

@@ -217,3 +217,45 @@ def common_ball(center_a, radius_a, center_b, radius_b):
     if radius <= 0:
         raise DomainError("the cubes do not overlap")
     return tuple((l + h) / 2 for l, h in zip(lo, hi)), radius
+
+
+def weak_ap_reference(points, center, domain_radius, radius, pair_count, rng):
+    """The weak almost-periodicity probe from its definition.
+
+    Each pair draws x, then y, one coordinate at a time, uniformly on the
+    2^-32 grid of the cube of centers whose windows fit the domain, as the
+    probe does.  A window is the set of points strictly inside B(c, R).  The
+    candidate shifts are the differences v = g - h, g in Y and h in X, with
+    |v - (y - x)| <= 2R, or y - x alone when there are none.  Each candidate
+    is scored by recounting |X symmetric-difference (Y - v)|; the least
+    count wins and ties go to the smallest v.  Returns one
+    (x, y, v, count, ties) per pair, ties being how many candidates reach
+    the least count.
+    """
+    radius = Fraction(radius)
+    slack = Fraction(domain_radius) - radius
+    region = [(Fraction(c) - slack, Fraction(c) + slack) for c in center]
+    points = [tuple(Fraction(c) for c in p) for p in points]
+
+    def window(x):
+        return {p for p in points
+                if max(abs(a - b) for a, b in zip(p, x)) < radius}
+
+    out = []
+    for _ in range(pair_count):
+        x, y = [tuple(lo + (hi - lo) * rng.unit() for lo, hi in region)
+                for _ in range(2)]
+        win_x, win_y = window(x), window(y)
+        base = tuple(b - a for a, b in zip(x, y))
+        cands = {
+            tuple(a - b for a, b in zip(g, h))
+            for g in win_y for h in win_x
+            if max(abs(a - b - c) for a, b, c in zip(g, h, base)) <= 2 * radius
+        } or {base}
+        scores = sorted(
+            (len(win_x ^ {tuple(a - b for a, b in zip(g, v)) for g in win_y}), v)
+            for v in cands
+        )
+        count, v = scores[0]
+        out.append((x, y, v, count, sum(1 for c, _ in scores if c == count)))
+    return out

@@ -1,10 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from oracles import dense_grid_extrema, naive_sup_half_grid
+from oracles import dense_grid_extrema, naive_sup_half_grid, weak_ap_reference
 from quasigrid.analysis import (
+    _difference_candidates,
     _sweep_extrema,
     density_R,
     density_R_plus,
@@ -32,6 +34,29 @@ def int_line(lo, hi, step=1, radius=None):
 @pytest.fixture(scope="module")
 def residue_patch(residue_scheme):
     return enumerate_model_set(residue_scheme, (0,), 3100).patch
+
+
+def fraction_differences(points, v_max):
+    """Every difference p - q of two points (zero included) with infinity
+    norm at most v_max, in lexicographic order."""
+    diffs = {tuple(a - b for a, b in zip(p, q)) for p in points for q in points}
+    return sorted(d for d in diffs if max(map(abs, d)) <= v_max)
+
+
+def fraction_grid_extrema(points, radius, region):
+    """The dim >= 3 sampled bracket in Fractions: centers step a quarter of
+    the least pairwise distance (1/2 for fewer than two points) from each
+    region's low end, plus its high end; min and max of the open-ball
+    counts over all of them."""
+    step = min((max(abs(a - b) for a, b in zip(p, q)) / 4
+                for p, q in itertools.combinations(points, 2)),
+               default=Fraction(1, 2))
+    axes = [[lo + k * step for k in range(int((hi - lo) / step) + 1)] + [hi]
+            for lo, hi in region]
+    counts = [sum(1 for p in points
+                  if max(abs(a - b) for a, b in zip(p, x)) < radius)
+              for x in itertools.product(*axes)]
+    return min(counts), max(counts)
 
 
 class TestDensityR:
@@ -199,6 +224,20 @@ class TestEpsilonTranslations:
             )
             assert Fraction(naive) / (2 * top) < Fraction(1, 10)
 
+    def test_difference_candidates_match_fraction_reference(self):
+        rng = RngState(47)
+        dens = (1, 2, 3, 5, 7, 1 << 32)
+        for case in range(40):
+            dim = 1 + case % 2
+            pts = {tuple(Fraction(rng.randrange(81) - 40, dens[rng.randrange(6)])
+                         for _ in range(dim))
+                   for _ in range(2 + rng.randrange(30))}
+            s = PointSet.build(dim, pts, (0,) * dim, 41)
+            for v_max in (Fraction(3), Fraction(7, 3), Fraction(25, 2),
+                          Fraction(1, 2)):
+                assert (_difference_candidates(s, v_max)
+                        == fraction_differences(s.points, v_max))
+
     def test_domain_precondition(self, residue_patch):
         with pytest.raises(DomainError):
             epsilon_translations(residue_patch, Fraction(1, 10), 1600, 10)
@@ -220,6 +259,34 @@ class TestSubadditivity:
         lhs, rhs, ok = subadditivity_check(patch, [v1, v2], 100)
         assert ok
         assert lhs == Fraction(3, 100) and rhs == Fraction(19, 200)
+
+
+def weak_ap_cases():
+    """Seeded probe inputs: dims 1 and 2, radii 7/3, 13/7 and 5/2, integer,
+    third and 2^-32 coordinates, negative coordinates and off-origin
+    domains, sparse sets whose windows are often empty, and points put
+    exactly on the rim of the first window the probe will draw (same seed,
+    drawn ahead), which an open window must leave out."""
+    rng = RngState(88)
+    for case in range(36):
+        dim = 1 + case // 18
+        radius = (Fraction(7, 3), Fraction(13, 7), Fraction(5, 2))[case % 3]
+        den = (1, 3, 1 << 32)[case // 3 % 3]
+        center = tuple(Fraction(rng.randrange(13) - 6, 3) for _ in range(dim))
+        domain = 2 * radius + Fraction(1 + rng.randrange(8), 2)
+        seed = rng.randrange(1 << 30)
+        half = math.floor(domain * den) - 1
+        count = rng.randrange(4) if case % 4 == 3 else 8 + rng.randrange(24 * dim)
+        pts = {tuple(c + Fraction(rng.randrange(2 * half + 1) - half, den)
+                     for c in center) for _ in range(count)}
+        if case % 4 == 1:
+            slack = domain - radius
+            ahead = RngState(seed)
+            x = tuple(c - slack + 2 * slack * ahead.unit() for c in center)
+            for sign in (1, -1):
+                pts.add((x[0] + sign * radius,) + x[1:])
+            pts.add(x)
+        yield PointSet.build(dim, pts, center, domain), radius, seed
 
 
 class TestWeakApProbe:
@@ -249,6 +316,25 @@ class TestWeakApProbe:
         result = weak_ap_probe(sparse, Fraction(1, 10), 2, 10, RngState(2))
         assert result.worst <= Fraction(1, 2)  # at worst one unmatched point
 
+    def test_matches_definition_oracle(self):
+        ties = empty = 0
+        for s, radius, seed in weak_ap_cases():
+            result = weak_ap_probe(s, Fraction(1, 10), radius, 4, RngState(seed))
+            expected = weak_ap_reference(s.points, s.center, s.radius, radius,
+                                         4, RngState(seed))
+            volume = (2 * radius) ** s.dim
+            got = [(w.x, w.y, w.v, w.value) for w in result.witnesses]
+            assert got == [(x, y, v, Fraction(n) / volume)
+                           for x, y, v, n, _ in expected]
+            assert result.worst == max((w.value for w in result.witnesses),
+                                       default=Fraction(0))
+            ties += sum(1 for *_, tied in expected if tied > 1)
+            empty += sum(
+                1 for x, y, *_ in expected for c in (x, y)
+                if all(max(abs(a - b) for a, b in zip(p, c)) >= radius
+                       for p in s.points))
+        assert ties >= 20 and empty >= 10
+
     def test_domain_precondition(self):
         s = int_line(-10, 10)
         with pytest.raises(DomainError):
@@ -264,6 +350,24 @@ class TestHighDimensionFallback:
             prof = uniform_density(cube, [Fraction(3, 2)], Fraction(1, 2))
         radius, d_min, d_max = prof.samples[0]
         assert d_min <= 1 <= d_max  # true density of Z^3 sits in the bracket
+
+    def test_grid_bracket_matches_fraction_reference(self):
+        # lattices of spacing a in {2/3, 5/4, 3/2} give non-integer grid
+        # steps; radii and region ends on a/4 put centers on ball rims
+        rng = RngState(53)
+        for case in range(12):
+            a = (Fraction(2, 3), Fraction(5, 4), Fraction(3, 2))[case % 3]
+            offset = Fraction(case % 2, 7)
+            pts = sorted({tuple(a * (rng.randrange(7) - 3) + offset
+                                for _ in range(3))
+                          for _ in range(1 if case == 0 else 10 + rng.randrange(20))})
+            radius = a * Fraction(3 + rng.randrange(7), 4)
+            region = tuple((lo, lo + a * Fraction(1 + rng.randrange(8), 4))
+                           for lo in (a * Fraction(rng.randrange(13) - 6, 4)
+                                      for _ in range(3)))
+            with pytest.warns(UserWarning, match="lower bound"):
+                got = _sweep_extrema(pts, 3, radius, region)
+            assert got == fraction_grid_extrema(pts, radius, region)
 
     def test_sup_density_warns_too(self):
         pts = [(Fraction(x), Fraction(y), Fraction(z))

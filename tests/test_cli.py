@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,25 @@ def test_analyze_weakap_deterministic(tmp_path):
         rpts.append(path.read_bytes())
     assert rpts[0] == rpts[1]
     assert b"worst 0" in rpts[0]
+
+
+def test_analyze_weakap_report_bytes(tmp_path, golden_scheme):
+    # a Fibonacci patch and a Fraction radius: worst is 2/13 and the pair
+    # lines carry shifts such as -2995/233; the hash pins every byte
+    scheme = tmp_path / "fib.cps"
+    write_scheme(scheme, golden_scheme)
+    qps = tmp_path / "fib.qps"
+    assert main(["gen", "model", "--scheme", str(scheme), "--radius", "60",
+                 "--out", str(qps)]) == 0
+    rpt = tmp_path / "w.rpt"
+    assert main(["analyze", "weakap", "--in", str(qps), "--epsilon", "1/10",
+                 "--radius", "13/2", "--pairs", "12", "--seed", "17",
+                 "--out", str(rpt)]) == 0
+    blob = rpt.read_bytes()
+    assert b"worst 2/13\npass false\n" in blob
+    assert b" -2995/233 2/13\n" in blob
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fc5f77bc9083e82f940e5144b332a42a2c92bfe48ff009f88c48a5298628dce3")
 
 
 def test_iterate_deterministic(tmp_path):
