@@ -1,12 +1,14 @@
 """Windowed density estimators and almost-periodicity probes.
 
 The sup/inf over ball centers that the density quantities call for is exact
-in dimensions 1 and 2: the count of points inside an open ball is piecewise
-constant in the center, its cells are generated by the axis coordinates of
-the points shifted by +-R, and a finite candidate grid (each breakpoint,
-each breakpoint nudged by an exact tiebreak, and the region endpoints) meets
-every cell.  All quantities are plain Fractions; nothing is sampled except
-where an operation takes an explicit rng.
+in dimensions 1 and 2.  The count of points inside an open ball is piecewise
+constant in the center and changes only where a point's window (c - R,
+c + R) opens or closes on an axis.  One pass over those events, sorted on
+the set's integer keys, steps through the count at every breakpoint and
+just beside it, so it meets every value the count takes over the region.
+In 2-D each distinct x-strip of points gets one such pass on its y values.
+All quantities are plain Fractions; nothing is sampled except where an
+operation takes an explicit rng.
 
 Suprema over all of space and limits over growing radii are replaced by
 their windowed counterparts over the region where the data is complete;
@@ -23,12 +25,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .pointset import (PointSet, _in_box, _inside, _Keys,
-                       _min_pairwise_distance, sym_diff, translate)
-from .ratmath import Vec, _scale_to_ints, ball_volume, inf_norm, rat, vec, vec_sub
+from .pointset import (PointSet, _in_box, _inside, _keys_at, _Keys,
+                       _min_pairwise_distance, _open_box, _shift_diff, _times,
+                       sym_diff)
+from .ratmath import Vec, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
 
@@ -38,70 +41,106 @@ Region = tuple[tuple[Fraction, Fraction], ...]
 # --- exact center sweeps ------------------------------------------------------
 
 
-def _axis_candidates(coords: Sequence[int], radius: int,
-                     lo: int, hi: int) -> list[int]:
-    breaks = sorted({c - radius for c in coords} | {c + radius for c in coords})
-    gaps = [b - a for a, b in zip(breaks, breaks[1:])]
-    # scaled data is a multiple of 4, so gap//4 >= 1 stays inside the cell
-    delta = max(1, min(gaps) // 4) if gaps else 1
-    cands = {lo, hi}
-    for b in breaks:
-        for value in (b - delta, b, b + delta):
-            if lo <= value <= hi:
-                cands.add(value)
-    return sorted(cands)
+def _running_extrema(events: Sequence[int], steps: Iterable[int], lo: int,
+                     hi: int) -> tuple[int, int]:
+    """(min, max) over centers x in [lo, hi] of a window count, given its
+    sorted events and the step of the count at each.
+
+    Event 2b + 1 opens windows at b and event 2b closes windows there, so in
+    sorted order the running count passes through its values just left of
+    b, at b and just right of b; the steps inside one group lie between
+    those values.  The count at lo follows every event below 2 lo + 1, the
+    count at hi every event up to 2 hi.
+    """
+    counts = list(itertools.accumulate(steps, initial=0))
+    seen = counts[bisect.bisect_left(events, 2 * lo + 1):
+                  bisect.bisect_right(events, 2 * hi) + 1]
+    return min(seen), max(seen)
 
 
-def _count_1d(sorted_coords, x, radius) -> int:
-    return (bisect.bisect_left(sorted_coords, x + radius)
-            - bisect.bisect_right(sorted_coords, x - radius))
+def _extrema_1d(coords: Sequence[int], radius: int, lo: int,
+                hi: int) -> tuple[int, int]:
+    """Exact (min, max) over centers x in [lo, hi] of #{c : |c - x| < R}:
+    one event per coordinate and side, each a step of one."""
+    events = sorted([2 * (c - radius) + 1 for c in coords]
+                    + [2 * (c + radius) for c in coords])
+    return _running_extrema(events, [2 * (e & 1) - 1 for e in events], lo, hi)
 
 
-def _sweep_extrema(points: Sequence[Vec], dim: int, radius: Fraction,
+def _counted_extrema(counts: Mapping[int, int], radius: int, lo: int,
+                     hi: int) -> tuple[int, int]:
+    """_extrema_1d for coordinates given with their multiplicities, as the
+    y values of a lattice strip repeat: one event per distinct value and
+    side, each a step of its multiplicity."""
+    step = {}
+    for c, n in counts.items():
+        step[2 * (c - radius) + 1] = n
+        step[2 * (c + radius)] = -n
+    events = sorted(step)
+    return _running_extrema(events, map(step.__getitem__, events), lo, hi)
+
+
+def _extrema_2d(xs: Sequence[int], ys: Sequence[int], radius: int,
+                x_range: tuple[int, int],
+                y_range: tuple[int, int]) -> tuple[int, int]:
+    """Exact (min, max) over the centers of x_range x y_range; xs ascending.
+
+    For a center at x the points within R on the first axis are the strip
+    ys[i:j], with i the windows closed and j the windows opened by the x
+    events up to x (encoded as in _running_extrema).  Each event value in
+    the range gives a distinct strip.  Walking them in order, the strip's
+    y values stay counted as points enter and leave it, and each strip
+    gets one pass over its distinct values.
+    """
+    closes = [2 * (c + radius) for c in xs]
+    opens = [2 * (c - radius) + 1 for c in xs]
+    lo, hi = 2 * x_range[0], 2 * x_range[1]
+    marks = sorted({lo, *(e for events in (closes, opens)
+                          for e in events[bisect.bisect_right(events, lo):
+                                          bisect.bisect_right(events, hi)])})
+    strip: Counter[int] = Counter()
+    i = j = bisect.bisect_right(closes, lo)
+    extrema = []
+    for t in marks:
+        enter = ys[j:bisect.bisect_right(opens, t)]
+        leave = ys[i:bisect.bisect_right(closes, t)]
+        strip.update(enter)
+        strip.subtract(leave)
+        for y in leave:
+            if not strip.get(y, 1):
+                del strip[y]
+        i, j = i + len(leave), j + len(enter)
+        extrema.append(_counted_extrema(strip, radius, *y_range))
+    return min(e[0] for e in extrema), max(e[1] for e in extrema)
+
+
+def _sweep_extrema(scale: int, keys: _Keys, radius: Fraction,
                    region: Region) -> tuple[int, int]:
     """Exact (min, max) over region centers of the open-ball point count.
 
-    Everything is rescaled once to integers (factor 4 * common denominator,
-    keeping the cell tiebreak integral), after which the sweep is pure int
-    bisection.  Counts are scale invariant.
+    keys are a set's sorted integer keys on the scale L (PointSet._keys).
+    The radius and the region go on a common multiple of L, and so do the
+    keys as they enter the event passes; counts are scale invariant.
     """
     for lo, hi in region:
         if lo > hi:
             raise DomainError("empty center region for the sweep")
-    if not points:
+    if not keys:
         return 0, 0
-    if dim > 2:
-        return _grid_extrema(points, dim, radius, region)
-    _, keys, (rad, *bounds) = _scale_to_ints(
-        points, dim, radius, *itertools.chain.from_iterable(region))
-    rad *= 4
-    iregion = [(4 * lo, 4 * hi) for lo, hi in zip(bounds[::2], bounds[1::2])]
-    if dim == 1:
-        coords = sorted(4 * x for x, in keys)
-        counts = [
-            _count_1d(coords, x, rad)
-            for x in _axis_candidates(coords, rad, *iregion[0])
-        ]
-        return min(counts), max(counts)
-    pts = sorted((4 * x, 4 * y) for x, y in keys)
-    axis0 = [p[0] for p in pts]
-    x_cands = _axis_candidates(axis0, rad, *iregion[0])
-    y_cands = _axis_candidates([p[1] for p in pts], rad, *iregion[1])
-    best_min, best_max = None, None
-    for x in x_cands:
-        lo_i = bisect.bisect_right(axis0, x - rad)
-        hi_i = bisect.bisect_left(axis0, x + rad)
-        strip = sorted(p[1] for p in pts[lo_i:hi_i])
-        for y in y_cands:
-            c = _count_1d(strip, y, rad)
-            if best_min is None or c < best_min:
-                best_min = c
-            if best_max is None or c > best_max:
-                best_max = c
-    return best_min, best_max
+    if len(region) > 2:
+        return _grid_extrema(scale, keys, radius, region)
+    big = math.lcm(scale, radius.denominator,
+                   *(b.denominator for b in itertools.chain.from_iterable(region)))
+    factor = big // scale
+    axes = [[factor * c for c in axis] for axis in zip(*keys)]
+    bounds = [(_times(lo, big), _times(hi, big)) for lo, hi in region]
+    if len(region) == 1:
+        return _extrema_1d(axes[0], _times(radius, big), *bounds[0])
+    return _extrema_2d(*axes, _times(radius, big), *bounds)
 
 
-def _grid_extrema(points, dim, radius, region) -> tuple[int, int]:
+def _grid_extrema(scale: int, keys: _Keys, radius: Fraction,
+                  region: Region) -> tuple[int, int]:
     """Sampled bracket for dim >= 3: inner bound only, flagged via warning."""
     warnings.warn(
         "center sweep is exact only in dimensions 1 and 2; reporting a "
@@ -109,15 +148,15 @@ def _grid_extrema(points, dim, radius, region) -> tuple[int, int]:
         stacklevel=3,
     )
     # a quarter of the least distance, half the discreteness radius r_gamma
-    distinct = sorted(set(points))
-    step = (_min_pairwise_distance(distinct) / 4 if len(distinct) >= 2
+    step = (_min_pairwise_distance(scale, keys) / 4 if len(keys) >= 2
             else Fraction(1, 2))
-    # the grid and the counts run on integer keys p * L
-    _, keys, (rad, istep, *bounds) = _scale_to_ints(
-        points, dim, radius, step, *itertools.chain.from_iterable(region))
-    keys.sort()
+    # the grid and the counts run on the keys, put on a common multiple of L
+    big = math.lcm(scale, radius.denominator, step.denominator,
+                   *(b.denominator for b in itertools.chain.from_iterable(region)))
+    factor, istep, rad = big // scale, _times(step, big), _times(radius, big)
+    keys = [tuple(factor * c for c in k) for k in keys]
     axes = [[*range(lo, hi + 1, istep), hi]
-            for lo, hi in zip(bounds[::2], bounds[1::2])]
+            for lo, hi in ((_times(a, big), _times(b, big)) for a, b in region)]
     counts = [len(_inside(keys, x, rad)) for x in itertools.product(*axes)]
     return min(counts), max(counts)
 
@@ -157,7 +196,10 @@ def density_R(s: PointSet, t: PointSet, x: Sequence, radius) -> Fraction:
         raise DomainError(
             f"B({x}, {radius}) is not inside both complete domains"
         )
-    count = sum(1 for p in diff.points if inf_norm(vec_sub(p, x)) < radius)
+    scale = math.lcm(diff._keys[0], radius.denominator,
+                     *(c.denominator for c in x))
+    count = len(_inside(_keys_at(diff, scale), [_times(c, scale) for c in x],
+                        _times(radius, scale)))
     return Fraction(count) / ball_volume(radius, s.dim)
 
 
@@ -168,7 +210,7 @@ def density_R_plus(s: PointSet, t: PointSet, radius) -> Fraction:
     region = _center_region(diff.center, diff.radius, radius)
     if not diff.points:
         return Fraction(0)
-    _, sup_count = _sweep_extrema(diff.points, s.dim, radius, region)
+    _, sup_count = _sweep_extrema(*diff._keys, radius, region)
     return Fraction(sup_count) / ball_volume(radius, s.dim)
 
 
@@ -198,7 +240,7 @@ def uniform_density(s: PointSet, r_list: Sequence, eps) -> DensityProfile:
     r_eps = None
     for radius in radii:
         region = _center_region(s.center, s.radius, radius)
-        low, high = _sweep_extrema(s.points, s.dim, radius, region)
+        low, high = _sweep_extrema(*s._keys, radius, region)
         volume = ball_volume(radius, s.dim)
         d_min, d_max = Fraction(low) / volume, Fraction(high) / volume
         samples.append((radius, d_min, d_max))
@@ -250,11 +292,12 @@ def _rung_ladder(r_eps: Fraction, top: Fraction) -> list[Fraction]:
     return rungs
 
 
-def _sup_count(points, dim, center, domain_radius, radius) -> int:
+def _sup_count(scale: int, keys: _Keys, center: Vec, domain_radius: Fraction,
+               radius: Fraction) -> int:
     region = _center_region(center, domain_radius, radius)
-    if not points:
+    if not keys:
         return 0
-    return _sweep_extrema(points, dim, radius, region)[1]
+    return _sweep_extrema(scale, keys, radius, region)[1]
 
 
 def epsilon_translations(s: PointSet, eps, r_eps, v_max) -> TranslationReport:
@@ -277,12 +320,11 @@ def epsilon_translations(s: PointSet, eps, r_eps, v_max) -> TranslationReport:
         )
     accepted = []
     for v in _difference_candidates(s, v_max):
-        diff = sym_diff(translate(s, v), s)
+        diff = _shift_diff(s, v)
         top = s.radius - inf_norm(v) - r_eps
         ok = True
         for rung in _rung_ladder(r_eps, top):
-            count = _sup_count(diff.points, s.dim, diff.center, diff.radius,
-                               rung)
+            count = _sup_count(*diff, rung)
             if Fraction(count) / ball_volume(rung, s.dim) >= eps:
                 ok = False
                 break
@@ -317,18 +359,17 @@ def subadditivity_check(s: PointSet, v_list: Sequence, radius):
     total = shifts[0]
     for v in shifts[1:]:
         total = tuple(a + b for a, b in zip(total, v))
-    diffs = [sym_diff(translate(s, v), s) for v in shifts]
-    total_diff = sym_diff(translate(s, total), s)
-    regions = [_center_region(d.center, d.radius, radius)
-               for d in diffs + [total_diff]]
+    *diffs, total_diff = [_shift_diff(s, v) for v in shifts + [total]]
+    regions = [_center_region(center, dom, radius)
+               for _, _, center, dom in diffs + [total_diff]]
     region = _intersect_regions(regions)
     volume = ball_volume(radius, s.dim)
 
-    def sup_density(diff: PointSet) -> Fraction:
-        if not diff.points:
+    def sup_density(diff) -> Fraction:
+        scale, keys, _, _ = diff
+        if not keys:
             return Fraction(0)
-        return Fraction(
-            _sweep_extrema(diff.points, s.dim, radius, region)[1]) / volume
+        return Fraction(_sweep_extrema(scale, keys, radius, region)[1]) / volume
 
     lhs = sup_density(total_diff)
     rhs = sum((sup_density(d) for d in diffs), Fraction(0))
@@ -375,17 +416,12 @@ def weak_ap_probe(s: PointSet, eps, radius, pair_count: int,
     region = _center_region(s.center, s.radius, radius)
     volume = ball_volume(radius, s.dim)
     scale, keys = s._keys
-    reach = radius * scale
 
     def draw_center() -> Vec:
         return tuple(lo + (hi - lo) * rng.unit() for lo, hi in region)
 
     def window(x: Vec) -> _Keys:
-        # an integer k lies strictly between (c - R) L and (c + R) L iff it
-        # lies strictly between the floor of the one and the ceiling of the other
-        lo = [math.floor(c * scale - reach) for c in x]
-        hi = [math.ceil(c * scale + reach) for c in x]
-        return [keys[i] for i in _in_box(keys, lo, hi)]
+        return [keys[i] for i in _in_box(keys, *_open_box(x, radius, scale))]
 
     witnesses = []
     worst = Fraction(0)

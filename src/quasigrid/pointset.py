@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, FormatError
 from .ratmath import Vec, _scale_to_ints, inf_norm, rat, vec, vec_add, vec_sub
@@ -124,6 +124,16 @@ def _times(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
+def _open_box(center: Vec, radius: Fraction,
+              scale: int) -> tuple[list[int], list[int]]:
+    """Integer bounds of the open ball B(center, radius) on the given scale:
+    a key k lies in the ball iff lo[i] < k[i] < hi[i] on every axis."""
+    # an integer lies strictly between (c - R) L and (c + R) L iff it lies
+    # strictly between the floor of the one and the ceiling of the other
+    return ([math.floor((c - radius) * scale) for c in center],
+            [math.ceil((c + radius) * scale) for c in center])
+
+
 def _inside(keys: _Keys, center: Sequence[int], radius: int) -> Sequence[int]:
     """Indices of the sorted keys strictly inside the cube of the given
     center and radius, all on the keys' scale."""
@@ -151,6 +161,17 @@ class DelonePair:
     R_gamma: Fraction
 
 
+def _shift_keys(s: PointSet, v: Vec) -> tuple[int, _Keys]:
+    """(L, keys of s + v): the keys of s plus v * L, on a common multiple L of
+    their scale and the denominators of v.  A shift keeps their order."""
+    if len(v) != s.dim:
+        raise DimensionMismatchError(f"translate: dim {s.dim} vs vector {len(v)}")
+    scale = math.lcm(s._keys[0], *(c.denominator for c in v))
+    return scale, _group(
+        map(operator.add, itertools.chain.from_iterable(_keys_at(s, scale)),
+            itertools.cycle([_times(c, scale) for c in v])), s.dim)
+
+
 def translate(s: PointSet, v: Sequence) -> PointSet:
     """Shift every point and the domain ball by v.
 
@@ -158,24 +179,25 @@ def translate(s: PointSet, v: Sequence) -> PointSet:
     needs no sort and no check: its keys are the old ones plus v * L.
     """
     v = vec(v)
-    if len(v) != s.dim:
-        raise DimensionMismatchError(f"translate: dim {s.dim} vs vector {len(v)}")
-    scale = math.lcm(s._keys[0], *(c.denominator for c in v))
-    keys = _keys_at(s, scale)
-    flat = list(map(operator.add, itertools.chain.from_iterable(keys),
-                    itertools.cycle([_times(c, scale) for c in v])))
-    points = tuple(_group([Fraction(x, scale) for x in flat], s.dim))
+    scale, keys = _shift_keys(s, v)
+    points = tuple(_group([Fraction(x, scale)
+                           for x in itertools.chain.from_iterable(keys)], s.dim))
     return _with_keys(
         PointSet(s.dim, points, vec_add(s.center, v), s.radius, s.complete),
-        scale, _group(flat, s.dim))
+        scale, keys)
 
 
 def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
     """Largest ball contained in both domain balls (center, radius)."""
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dims {s.dim} vs {t.dim}")
-    lo = tuple(max(a - s.radius, b - t.radius) for a, b in zip(s.center, t.center))
-    hi = tuple(min(a + s.radius, b + t.radius) for a, b in zip(s.center, t.center))
+    return _common_ball(s.center, s.radius, t.center, t.radius)
+
+
+def _common_ball(center_a: Vec, radius_a: Fraction, center_b: Vec,
+                 radius_b: Fraction) -> tuple[Vec, Fraction]:
+    lo = tuple(max(a - radius_a, b - radius_b) for a, b in zip(center_a, center_b))
+    hi = tuple(min(a + radius_a, b + radius_b) for a, b in zip(center_a, center_b))
     radius = min((b - a) / 2 for a, b in zip(lo, hi))
     if radius <= 0:
         raise DomainError("domain balls have empty intersection")
@@ -183,20 +205,36 @@ def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
     return center, radius
 
 
+def _xor_in_ball(a: AbstractSet, b: AbstractSet, scale: int, center: Vec,
+                 radius: Fraction) -> _Keys:
+    """Sorted keys, on the given scale, that are in exactly one of a and b
+    and lie in the open ball B(center, radius)."""
+    diff = sorted(a ^ b)
+    return [diff[i] for i in _in_box(diff, *_open_box(center, radius, scale))]
+
+
 def sym_diff(s: PointSet, t: PointSet) -> PointSet:
     """Exact symmetric difference on the largest common domain ball."""
     center, radius = common_domain(s, t)
-    scale = math.lcm(s._keys[0], t._keys[0], radius.denominator,
-                     *(c.denominator for c in center))
-    in_s = dict(zip(_keys_at(s, scale), s.points))
+    scale = math.lcm(s._keys[0], t._keys[0])
+    point_of = dict(zip(_keys_at(s, scale), s.points))
     in_t = dict(zip(_keys_at(t, scale), t.points))
-    diff = sorted(in_s.keys() ^ in_t.keys())
-    keys = [diff[i] for i in _inside(diff, [_times(c, scale) for c in center],
-                                     _times(radius, scale))]
-    points = tuple(in_s[k] if k in in_s else in_t[k] for k in keys)
+    keys = _xor_in_ball(point_of.keys(), in_t.keys(), scale, center, radius)
+    point_of.update(in_t)
     return _with_keys(
-        PointSet(s.dim, points, center, radius, s.complete and t.complete),
+        PointSet(s.dim, tuple(map(point_of.__getitem__, keys)), center, radius,
+                 s.complete and t.complete),
         scale, keys)
+
+
+def _shift_diff(s: PointSet, v: Vec) -> tuple[int, _Keys, Vec, Fraction]:
+    """sym_diff(translate(s, v), s) as (L, keys, center, radius), made on
+    the integer keys alone: no shifted or Fraction point is built."""
+    scale, moved = _shift_keys(s, v)
+    center, radius = _common_ball(vec_add(s.center, v), s.radius, s.center,
+                                  s.radius)
+    return (scale, _xor_in_ball(set(moved), set(_keys_at(s, scale)), scale,
+                                center, radius), center, radius)
 
 
 def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
@@ -222,20 +260,22 @@ def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
         scale, list(map(keys.__getitem__, kept)))
 
 
-def _min_pairwise_distance(points: Sequence[Vec]) -> Fraction:
-    # Sorted sweep: compare each point only against lexicographic successors
+def _min_pairwise_distance(scale: int, keys: _Keys) -> Fraction:
+    """Least infinity-norm distance between two of the sorted, distinct
+    keys, as a Fraction: the keys are points times the scale L."""
+    # Sorted sweep: compare each key only against lexicographic successors
     # whose first coordinate is within the current best distance.
-    best: Fraction | None = None
-    pts = list(points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
+    best: int | None = None
+    for i, p in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            q = keys[j]
             if best is not None and q[0] - p[0] >= best:
                 break
-            d = inf_norm(vec_sub(p, q))
+            d = max(map(abs, map(operator.sub, q, p)))
             if best is None or d < best:
                 best = d
     assert best is not None
-    return best
+    return Fraction(best, scale)
 
 
 def delone_estimate(s: PointSet) -> DelonePair:
@@ -248,9 +288,10 @@ def delone_estimate(s: PointSet) -> DelonePair:
     """
     if len(s) < 2:
         raise ValueError("delone_estimate needs at least two points")
-    r_gamma = _min_pairwise_distance(s.points) / 2
+    r_gamma = _min_pairwise_distance(*s._keys) / 2
     # the grid and the distances run on integer keys p * L
-    scale, keys, (step,) = _scale_to_ints(s.points, s.dim, r_gamma)
+    scale = math.lcm(s._keys[0], r_gamma.denominator)
+    keys, step = _keys_at(s, scale), _times(r_gamma, scale)
     axes = []
     for i in range(s.dim):
         a, b = min(k[i] for k in keys), max(k[i] for k in keys)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from quasigrid.ratmath import IntervalBox, preimage_bounds, round_scalar
 
@@ -168,6 +168,14 @@ def dense_grid_extrema(points, radius, region, step):
     inside = (np.abs(centers[:, None, :] - pts[None, :, :]) < radius).all(axis=2)
     counts = inside.sum(axis=1)
     return int(counts.min()), int(counts.max())
+
+
+def min_pairwise_distance(points):
+    """Least infinity-norm distance between two distinct points: every pair
+    of the distinct points, in Fractions."""
+    pts = {tuple(Fraction(c) for c in p) for p in points}
+    return min(max(abs(a - b) for a, b in zip(p, q))
+               for p, q in combinations(pts, 2))
 
 
 def naive_sup_half_grid(values, center, dom_radius, radius):

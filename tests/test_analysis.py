@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,11 @@ def int_line(lo, hi, step=1, radius=None):
 @pytest.fixture(scope="module")
 def residue_patch(residue_scheme):
     return enumerate_model_set(residue_scheme, (0,), 3100).patch
+
+
+def keyed(points, dim):
+    """Points as the (L, sorted integer keys) pair that _sweep_extrema reads."""
+    return PointSet.build(dim, points, (0,) * dim, 100)._keys
 
 
 def fraction_differences(points, v_max):
@@ -105,7 +111,8 @@ class TestDensityRPlus:
             radius32 = 32 * (1 + rng.randrange(3))
             region = (-(128 - radius32), 128 - radius32)
             lo, hi = _sweep_extrema(
-                [(Fraction(p, 32),) for p in pts], 1, Fraction(radius32, 32),
+                *keyed([(Fraction(p, 32),) for p in pts], 1),
+                Fraction(radius32, 32),
                 ((Fraction(region[0], 32), Fraction(region[1], 32)),),
             )
             olo, ohi = dense_grid_extrema(
@@ -123,7 +130,7 @@ class TestDensityRPlus:
             radius2 = 1 + rng.randrange(2)  # radius in halves
             slack2 = 6 - radius2
             lo, hi = _sweep_extrema(
-                [(Fraction(x, 2), Fraction(y, 2)) for x, y in pts], 2,
+                *keyed([(Fraction(x, 2), Fraction(y, 2)) for x, y in pts], 2),
                 Fraction(radius2, 2),
                 ((Fraction(-slack2, 2), Fraction(slack2, 2)),) * 2,
             )
@@ -132,6 +139,54 @@ class TestDensityRPlus:
                 [(-32 * slack2, 32 * slack2)] * 2, 1,
             )
             assert (lo, hi) == (olo, ohi)
+
+    def test_sweep_matches_dense_grid_edge_cases(self):
+        # numerators on the grid 1/den, shifted by a multiple of 1/3; the
+        # oracle walks the half grid of the numerators, since counts do not
+        # change under the shift
+        rng = RngState(63)
+        dens = (1, 3, 1 << 32, 3 << 32)
+        for case in range(480):
+            dim = 1 + case % 2
+            den = dens[rng.randrange(4)]
+            offset = Fraction(rng.randrange(81) - 40, 3)
+            radius = 1 + rng.randrange(6)
+            gap = dim == 2 and rng.randrange(3) == 0
+            nums = set()
+            for _ in range(1 + rng.randrange(12)):
+                x = rng.randrange(25) - 12
+                if gap:  # two x clusters: centers between them see empty strips
+                    x = (9 + rng.randrange(4)) * (1 if x > 0 else -1)
+                nums.add((x,) + tuple(rng.randrange(25) - 12
+                                      for _ in range(dim - 1)))
+            nums = sorted(nums)
+            region = []
+            for axis in range(dim):
+                width = rng.randrange(13)
+                kind = rng.randrange(5)
+                anchor = nums[rng.randrange(len(nums))][axis]
+                anchor += radius if rng.randrange(2) else -radius
+                if kind == 0:  # degenerate region
+                    lo = hi = rng.randrange(33) - 16
+                elif kind == 1:  # lo on a breakpoint, a point R from it
+                    lo, hi = anchor, anchor + width
+                elif kind == 2:  # hi on a breakpoint
+                    lo, hi = anchor - width, anchor
+                else:
+                    lo = rng.randrange(33) - 16
+                    hi = lo + width
+                if gap and axis == 0:
+                    lo, hi = -8, 8
+                region.append((lo, hi))
+            points = [tuple(offset + Fraction(c, den) for c in p) for p in nums]
+            got = _sweep_extrema(
+                *keyed(points, dim), Fraction(radius, den),
+                tuple((offset + Fraction(lo, den), offset + Fraction(hi, den))
+                      for lo, hi in region))
+            want = dense_grid_extrema(
+                [tuple(2 * c for c in p) for p in nums], 2 * radius,
+                [(2 * lo, 2 * hi) for lo, hi in region], 1)
+            assert got == want, (case, nums, radius, region, den, offset)
 
     def test_empty_difference_is_zero(self):
         s = int_line(-20, 20)
@@ -366,7 +421,7 @@ class TestHighDimensionFallback:
                            for lo in (a * Fraction(rng.randrange(13) - 6, 4)
                                       for _ in range(3)))
             with pytest.warns(UserWarning, match="lower bound"):
-                got = _sweep_extrema(pts, 3, radius, region)
+                got = _sweep_extrema(*keyed(pts, 3), radius, region)
             assert got == fraction_grid_extrema(pts, radius, region)
 
     def test_sup_density_warns_too(self):
@@ -406,3 +461,26 @@ class TestReports:
         lines = text.splitlines()
         assert "worst 0" in lines and "pass true" in lines
         assert sum(1 for ln in lines if ln.startswith("pair ")) == 3
+
+    @pytest.mark.parametrize("scheme, digests", [
+        ("golden_scheme", (
+            "97e22034eb4dacf02135c304dc3e40eb320877f266405a9fd64dbe23f1c1c893",
+            "6f3d5c5fb9d9d14b552f5d4f4f898426897383062c535489076338571b3c59d3")),
+        ("residue_scheme", (
+            "b4526b2ecebf998479c64242ff1d2a7fa2ccc9e1c3dc764623320100f3d6ead6",
+            "261c572797f101b2f1442e398d5fe2d13b13321836e26e503029ef2bc0f05fba")),
+    ])
+    def test_density_and_translation_report_bytes(self, request, scheme,
+                                                   digests):
+        # Fraction radii on a Fibonacci and a residue patch: the hashes pin
+        # every density bracket and every accepted shift, byte for byte
+        patch = enumerate_model_set(request.getfixturevalue(scheme), (0,),
+                                    120).patch
+        eps = Fraction(1, 20)
+        prof = uniform_density(patch, [Fraction(3, 2), Fraction(37, 4), 20,
+                                       Fraction(121, 3), 90], eps)
+        report = epsilon_translations(patch, Fraction(3, 10), Fraction(21, 2),
+                                      20)
+        texts = (density_report_text(prof, eps), translation_report_text(report))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest()
+                     for t in texts) == digests

@@ -111,6 +111,22 @@ def test_analyze_weakap_report_bytes(tmp_path, golden_scheme):
         "fc5f77bc9083e82f940e5144b332a42a2c92bfe48ff009f88c48a5298628dce3")
 
 
+def test_analyze_density_report_bytes(tmp_path, golden_scheme):
+    # a Fibonacci patch and the ladder 95/32 ... 95/2: the hash pins every
+    # bracket of the report
+    scheme = tmp_path / "fib.cps"
+    write_scheme(scheme, golden_scheme)
+    qps = tmp_path / "fib.qps"
+    assert main(["gen", "model", "--scheme", str(scheme), "--radius", "60",
+                 "--out", str(qps)]) == 0
+    rpt = tmp_path / "d.rpt"
+    assert main(["analyze", "density", "--in", str(qps), "--rmax", "95/2",
+                 "--eps", "1/20", "--out", str(rpt)]) == 0
+    blob = rpt.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "77bdb1a4647edf27d757413a5d35f84a8c22c89eb0b4f1b5a71dc05e84800885")
+
+
 def test_iterate_deterministic(tmp_path):
     blobs = []
     for tag in ("one", "two"):

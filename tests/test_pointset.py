@@ -8,6 +8,7 @@ import pytest
 from quasigrid.errors import DimensionMismatchError, DomainError, FormatError
 from quasigrid.pointset import (
     PointSet,
+    _min_pairwise_distance,
     delone_estimate,
     dumps_qps,
     loads_qps,
@@ -18,7 +19,7 @@ from quasigrid.pointset import (
     write_qps,
 )
 from quasigrid.rng import RngState
-from oracles import canonical_points, common_ball
+from oracles import canonical_points, common_ball, min_pairwise_distance
 
 
 def line(lo, hi, step=1, radius=None, center=0):
@@ -186,6 +187,24 @@ class TestDeloneEstimate:
             s = PointSet.build(dim, pts, (0,) * dim, 5)
             pair = delone_estimate(s)
             assert (pair.r_gamma, pair.R_gamma) == reference(s.points), trial
+
+
+class TestMinPairwiseDistance:
+    def test_matches_brute_force_pairs(self):
+        # mixed denominators up to 2**-32, repeated points, dimensions 1-3
+        rng = RngState(29)
+        dens = (1, 2, 3, 7, 1 << 32)
+        for case in range(90):
+            dim = 1 + case % 3
+            pts = [tuple(Fraction(rng.randrange(41) - 20, dens[rng.randrange(5)])
+                         for _ in range(dim))
+                   for _ in range(2 + rng.randrange(15))]
+            pts += pts[:1 + rng.randrange(3)]
+            s = PointSet.build(dim, pts, (0,) * dim, 21)
+            if len(s) < 2:
+                continue
+            assert (_min_pairwise_distance(*s._keys)
+                    == min_pairwise_distance(pts)), case
 
 
 class TestQpsFormat:
