@@ -208,7 +208,7 @@ def density_R_plus(s: PointSet, t: PointSet, radius) -> Fraction:
     radius = rat(radius)
     diff = sym_diff(s, t)
     region = _center_region(diff.center, diff.radius, radius)
-    if not diff.points:
+    if len(diff) == 0:
         return Fraction(0)
     _, sup_count = _sweep_extrema(*diff._keys, radius, region)
     return Fraction(sup_count) / ball_volume(radius, s.dim)

@@ -13,7 +13,9 @@ handed to the latticeenum solver.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
 from .latticeenum import IntConstraints, solve_integer_box
-from .pointset import PointSet
+from .pointset import PointSet, _PointView, _times
 from .ratmath import (
     HALF,
     IntervalBox,
@@ -148,13 +150,30 @@ def _scaled_constraints(scheme: CutProjectScheme, window_box: IntervalBox,
     denoms += [x.denominator for x in target_lo + target_hi]
     scale = math.lcm(*denoms)
 
-    coeffs = [tuple(int(e * scale) for e in row) for row in scheme.basis.entries]
-    lo = [int(b * scale) + (0 if closed else 1)
+    coeffs = [tuple(_times(e, scale) for e in row) for row in scheme.basis.entries]
+    lo = [_times(b, scale) + (0 if closed else 1)
           for b, closed in zip(target_lo, lo_closed)]
-    hi = [int(b * scale) - (0 if closed else 1)
+    hi = [_times(b, scale) - (0 if closed else 1)
           for b, closed in zip(target_hi, hi_closed)]
     cons = IntConstraints(coeffs, lo, hi, var_lo, var_hi)
     return cons, scale
+
+
+def _images(rows: list[list[int]],
+            vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The integer matrix rows applied to each vector, one column at a time."""
+    if not vectors:
+        return []
+    columns = list(zip(*vectors))
+    images = []
+    for row in rows:
+        acc = itertools.repeat(0, len(vectors))
+        for a, column in zip(row, columns):
+            if a:
+                acc = map(operator.add, acc,
+                          map(operator.mul, itertools.repeat(a), column))
+        images.append(acc)
+    return list(zip(*images))
 
 
 def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
@@ -173,24 +192,27 @@ def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
     if budget is None:
         budget = enumeration_budget()
 
-    accepted: set[tuple[int, ...]] = set()
-    points: dict[tuple[int, ...], Vec] = {}
+    # each box's physical rows, on the smallest scale that keeps them
+    # integral, and the lcm of those scales, on which all points get keys
+    boxes = []
     for window_box in scheme.window.boxes:
         cons, scale = _scaled_constraints(scheme, window_box, center, radius)
         if any(l > h for l, h in zip(cons.lo, cons.hi)):
             continue
-        p2_rows = cons.coeffs[scheme.m:]
-        for c in solve_integer_box(cons, budget):
-            if c in accepted:
-                continue
-            accepted.add(c)
-            coords = tuple(
-                sum(a * ci for a, ci in zip(row, c)) for row in p2_rows
-            )
-            points[coords] = tuple(Fraction(x, scale) for x in coords)
-    # boxes on different scales can reach one point under different int keys;
+        rows = cons.coeffs[scheme.m:]
+        g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+        boxes.append((cons, scale // g, [[a // g for a in row] for row in rows]))
+    common = math.lcm(*(scale for _, scale, _ in boxes))
+    accepted: set[tuple[int, ...]] = set()
+    keys = []
+    for cons, scale, rows in boxes:
+        fresh = set(solve_integer_box(cons, budget)) - accepted
+        accepted |= fresh
+        keys += _images(
+            [[a * (common // scale) for a in row] for row in rows], list(fresh))
+    # boxes can reach one point from different coefficient vectors;
     # build deduplicates them
-    patch = PointSet.build(scheme.n, points.values(), center, radius)
+    patch = PointSet.build(scheme.n, _PointView(common, keys), center, radius)
     return ModelSetPatch(scheme, patch, len(accepted) - len(patch))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError, FormatError
 from .cutproject import enumeration_budget
-from .pointset import PointSet
+from .pointset import PointSet, _keys_at, _PointView
 from .ratmath import (
     HALF,
     IntervalBox,
@@ -289,8 +289,8 @@ def apply_chain(chain: MapChain, r_out, budget: int | None = None,
     # for an integer x, |x| < r_out exactly when |x| <= ceil(r_out) - 1;
     # the comparison is exact on int64 and on object rows of Python ints
     pts = pts[(np.abs(pts) <= math.ceil(r_out) - 1).all(axis=1)]
-    points = [tuple(map(Fraction, row)) for row in pts.tolist()]
-    return PointSet.build(chain.dim, points, (0,) * chain.dim, r_out)
+    return PointSet.build(chain.dim, _PointView(1, list(map(tuple, pts.tolist()))),
+                          (0,) * chain.dim, r_out)
 
 
 # --- random chains (rotation * stretch * rotation) ---------------------------
@@ -413,10 +413,11 @@ def chain_model_witness(chain: MapChain, radius, budget: int | None = None,
         scheme = iterated_scheme(chain.matrices)
     direct = apply_chain(chain, radius, budget)
     modeled = enumerate_model_set(scheme, (0,) * chain.dim, radius, budget)
-    diff = set(direct.points) ^ set(modeled.patch.points)
-    if not diff:
+    if direct.points == modeled.patch.points:
         return None
-    return min(diff)
+    scale = math.lcm(direct._keys[0], modeled.patch._keys[0])
+    first = min(set(_keys_at(direct, scale)) ^ set(_keys_at(modeled.patch, scale)))
+    return tuple(Fraction(x, scale) for x in first)
 
 
 def write_chain(path_or_stream, chain: MapChain) -> None:

@@ -13,6 +13,8 @@ import bisect
 import itertools
 import math
 import operator
+import re
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,24 +22,82 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, FormatError
 from .ratmath import Vec, _scale_to_ints, inf_norm, rat, vec, vec_add, vec_sub
-from .textio import format_rational, parse_int, parse_rational, split_lines
+from .textio import (RATIONAL_RE, format_rational, parse_int, parse_ratio,
+                     parse_rational, split_lines)
 
 _Keys = list[tuple[int, ...]]
+
+
+class _PointView(_SequenceABC):
+    """Points stored as integer keys: point i is keys[i] / L.
+
+    Reads as the tuple of Fraction tuples it stands for (length, indexing,
+    iteration, equality with such a tuple, hash); the tuple is made on the
+    first read that needs it and kept.  A slice is a plain tuple.  The
+    scale is reduced on construction, L = 1 for no points, so two views of
+    the same points hold the same (L, keys) and compare without Fractions.
+    """
+
+    __slots__ = ("scale", "keys", "_points")
+
+    def __init__(self, scale: int, keys: _Keys):
+        g = scale
+        for k in keys:
+            if g == 1:
+                break
+            g = math.gcd(g, *k)
+        if g > 1:
+            keys = [tuple(x // g for x in k) for k in keys]
+        self.scale, self.keys = scale // g, keys
+        self._points: tuple[Vec, ...] | None = None
+
+    @property
+    def _tuple(self) -> tuple[Vec, ...]:
+        if self._points is None:
+            scale = self.scale
+            frac = {x: Fraction(x, scale)
+                    for x in set(itertools.chain.from_iterable(self.keys))}
+            self._points = tuple(tuple(map(frac.__getitem__, k))
+                                 for k in self.keys)
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PointView):
+            return self.scale == other.scale and self.keys == other.keys
+        if isinstance(other, tuple):
+            return self._tuple == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
 
 
 @dataclass(frozen=True)
 class PointSet:
     """Sorted, deduplicated rational points inside an open ball domain.
 
-    The points are handled through integer keys: with L a common multiple
-    of the coordinate denominators, point p has key p * L as a tuple of
-    ints.  Keys sort, compare and test the ball exactly as the points do,
-    so canonical order, set algebra and domain checks run on ints and
-    Fractions are only carried through.
+    The points are held as integer keys: with L a common multiple of the
+    coordinate denominators, point p has key p * L as a tuple of ints.
+    Keys sort, compare and test the ball exactly as the points do, so
+    canonical order, set algebra and domain checks run on ints; `points`
+    makes the Fraction tuples only when it is read.  A set made directly
+    from a tuple of Fraction tuples (dataclasses.replace, say) works too.
     """
 
     dim: int
-    points: tuple[Vec, ...]
+    points: Sequence[Vec]
     center: Vec
     radius: Fraction
     complete: bool = True
@@ -45,6 +105,8 @@ class PointSet:
     @classmethod
     def build(cls, dim: int, points: Iterable[Sequence], center: Sequence,
               radius, complete: bool = True) -> "PointSet":
+        """The canonical set of the given points, which may also be a
+        _PointView of keys in any order and with repeats."""
         center_v = vec(center)
         radius_f = rat(radius)
         if dim < 1:
@@ -53,45 +115,49 @@ class PointSet:
             raise DimensionMismatchError("domain center does not match dim")
         if radius_f <= 0:
             raise ValueError("domain radius must be positive")
-        pts = list(points)
-        if (set(map(type, pts)) - {tuple}
-                or set(map(type, itertools.chain.from_iterable(pts))) - {Fraction}):
-            pts = [p if type(p) is tuple and set(map(type, p)) <= {Fraction}
-                   else vec(p) for p in pts]
-        if set(map(len, pts)) - {dim}:
-            bad = min(p for p in pts if len(p) != dim)
-            raise DimensionMismatchError(f"point {bad} does not have dim {dim}")
-        _, keys, (r, *c) = _scale_to_ints(pts, dim, radius_f, *center_v)
-        canon = dict(zip(keys, pts))
-        order = sorted(canon)
-        inside = _inside(order, c, r)
+        if isinstance(points, _PointView):
+            scale, keys = points.scale, points.keys
+        else:
+            pts = list(points)
+            if (set(map(type, pts)) - {tuple}
+                    or set(map(type, itertools.chain.from_iterable(pts))) - {Fraction}):
+                pts = [p if type(p) is tuple and set(map(type, p)) <= {Fraction}
+                       else vec(p) for p in pts]
+            if set(map(len, pts)) - {dim}:
+                bad = min(p for p in pts if len(p) != dim)
+                raise DimensionMismatchError(f"point {bad} does not have dim {dim}")
+            scale, keys = _scale_to_ints(pts, dim)
+        order = sorted(keys)
+        if not all(map(operator.lt, order, itertools.islice(order, 1, None))):
+            order = list(dict.fromkeys(order))
+        inside = _in_box(order, *_open_box(center_v, radius_f, scale))
         if len(inside) < len(order):
             first = next((i for i, j in enumerate(inside) if i != j), len(inside))
+            bad = tuple(Fraction(x, scale) for x in order[first])
             raise DomainError(
-                f"point {canon[order[first]]} is outside the open domain ball "
+                f"point {bad} is outside the open domain ball "
                 f"B({center_v}, {radius_f})"
             )
-        return cls(dim, tuple(map(canon.__getitem__, order)), center_v,
-                   radius_f, complete)
+        return cls(dim, _PointView(scale, order), center_v, radius_f, complete)
 
     @cached_property
     def _keys(self) -> tuple[int, _Keys]:
-        """(L, keys) for the points, L a common multiple of their denominators.
-
-        build does not keep its keys, so a set that is only stored or written
-        holds no second copy of its points; translate, sym_diff and restrict
-        set this on their results, which are usually operated on again.
-        """
-        scale, keys, _ = _scale_to_ints(self.points, self.dim)
-        return scale, keys
+        """(L, keys) for the points, L a common multiple of their denominators."""
+        if isinstance(self.points, _PointView):
+            return self.points.scale, self.points.keys
+        return _scale_to_ints(self.points, self.dim)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __contains__(self, p) -> bool:
         p = vec(p)
-        i = bisect.bisect_left(self.points, p)
-        return i < len(self.points) and self.points[i] == p
+        scale, keys = self._keys
+        if len(p) != self.dim or any(scale % c.denominator for c in p):
+            return False
+        key = tuple(_times(c, scale) for c in p)
+        i = bisect.bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def require_complete(self, what: str) -> None:
         if not self.complete:
@@ -99,11 +165,6 @@ class PointSet:
                 f"{what} needs a domain-complete point set; this one is only "
                 "a bounding patch (restrict it soundly first)"
             )
-
-
-def _with_keys(s: PointSet, scale: int, keys: _Keys) -> PointSet:
-    s.__dict__["_keys"] = (scale, keys)
-    return s
 
 
 def _group(flat: Iterable[int], dim: int) -> list[tuple]:
@@ -179,12 +240,8 @@ def translate(s: PointSet, v: Sequence) -> PointSet:
     needs no sort and no check: its keys are the old ones plus v * L.
     """
     v = vec(v)
-    scale, keys = _shift_keys(s, v)
-    points = tuple(_group([Fraction(x, scale)
-                           for x in itertools.chain.from_iterable(keys)], s.dim))
-    return _with_keys(
-        PointSet(s.dim, points, vec_add(s.center, v), s.radius, s.complete),
-        scale, keys)
+    return PointSet(s.dim, _PointView(*_shift_keys(s, v)),
+                    vec_add(s.center, v), s.radius, s.complete)
 
 
 def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
@@ -217,14 +274,10 @@ def sym_diff(s: PointSet, t: PointSet) -> PointSet:
     """Exact symmetric difference on the largest common domain ball."""
     center, radius = common_domain(s, t)
     scale = math.lcm(s._keys[0], t._keys[0])
-    point_of = dict(zip(_keys_at(s, scale), s.points))
-    in_t = dict(zip(_keys_at(t, scale), t.points))
-    keys = _xor_in_ball(point_of.keys(), in_t.keys(), scale, center, radius)
-    point_of.update(in_t)
-    return _with_keys(
-        PointSet(s.dim, tuple(map(point_of.__getitem__, keys)), center, radius,
-                 s.complete and t.complete),
-        scale, keys)
+    keys = _xor_in_ball(set(_keys_at(s, scale)), set(_keys_at(t, scale)),
+                        scale, center, radius)
+    return PointSet(s.dim, _PointView(scale, keys), center, radius,
+                    s.complete and t.complete)
 
 
 def _shift_diff(s: PointSet, v: Vec) -> tuple[int, _Keys, Vec, Fraction]:
@@ -254,10 +307,8 @@ def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
                      *(c.denominator for c in center))
     keys = _keys_at(s, scale)
     kept = _inside(keys, [_times(c, scale) for c in center], _times(radius, scale))
-    return _with_keys(
-        PointSet(s.dim, tuple(map(s.points.__getitem__, kept)), center, radius,
-                 s.complete),
-        scale, list(map(keys.__getitem__, kept)))
+    return PointSet(s.dim, _PointView(scale, list(map(keys.__getitem__, kept))),
+                    center, radius, s.complete)
 
 
 def _min_pairwise_distance(scale: int, keys: _Keys) -> Fraction:
@@ -334,9 +385,47 @@ def dumps_qps(s: PointSet) -> str:
         "domain " + " ".join(format_rational(c) for c in s.center)
         + " " + format_rational(s.radius),
     ]
-    for p in s.points:
-        lines.append(" ".join(format_rational(c) for c in p))
+    scale, keys = s._keys
+    if scale == 1:
+        lines += map(" ".join(["%d"] * s.dim).__mod__, keys)
+    else:
+        text = {x: _ratio_text(x, scale)
+                for x in set(itertools.chain.from_iterable(keys))}
+        lines += [" ".join(map(text.__getitem__, k)) for k in keys]
     return "\n".join(lines) + "\n"
+
+
+def _ratio_text(x: int, scale: int) -> str:
+    """format_rational of x / scale."""
+    g = math.gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+
+
+def _point_keys(lines: list[str], dim: int) -> tuple[int, _Keys]:
+    """(L, keys) of the QPS point lines, L the lcm of their denominators."""
+    body = "\n".join(lines + [""])
+    token = RATIONAL_RE.pattern
+    if re.fullmatch(rf"(?:{token}(?: {token}){{{dim - 1}}}\n)*", body):
+        # every line holds dim tokens of the canonical shape; what is left
+        # to check is that each p/q has q >= 2 and is in lowest terms
+        if "/" not in body:
+            return 1, _group(map(int, body.split()), dim)
+        parts = RATIONAL_RE.findall(body)
+        nums = [int(n) for n, _ in parts]
+        dens = [int(d) if d else 1 for _, d in parts]
+        if "1" not in map(operator.itemgetter(1), parts) and all(
+                g == 1 for g in map(math.gcd, nums, dens)):
+            scale = math.lcm(*set(dens))
+            return scale, _group(map(operator.mul, nums, map(
+                operator.floordiv, itertools.repeat(scale), dens)), dim)
+    # a malformed token or line: find and report the first one
+    for line in lines:
+        tokens = line.split(" ")
+        if len(tokens) != dim:
+            raise FormatError(f"point line has {len(tokens)} coordinates, not {dim}")
+        for t in tokens:
+            parse_ratio(t)
+    raise AssertionError("point lines rejected but no bad token found")
 
 
 def loads_qps(text: str) -> PointSet:
@@ -356,17 +445,11 @@ def loads_qps(text: str) -> PointSet:
         raise FormatError(f"bad QPS domain line: {lines[2]!r}")
     center = [parse_rational(t) for t in dom_parts[1:-1]]
     radius = parse_rational(dom_parts[-1])
-    points = []
-    for line in lines[3:]:
-        tokens = line.split(" ")
-        if len(tokens) != dim:
-            raise FormatError(f"point line has {len(tokens)} coordinates, not {dim}")
-        points.append(tuple(parse_rational(t) for t in tokens))
-    _, keys, _ = _scale_to_ints(points, dim)
+    scale, keys = _point_keys(lines[3:], dim)
     if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
         raise FormatError("QPS point lines are not in canonical order")
     try:
-        return PointSet.build(dim, points, center, radius)
+        return PointSet.build(dim, _PointView(scale, keys), center, radius)
     except (DomainError, ValueError, DimensionMismatchError) as exc:
         raise FormatError(f"QPS content invalid: {exc}") from exc
 

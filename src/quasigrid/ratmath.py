@@ -36,22 +36,21 @@ def vec(coords: Iterable) -> Vec:
     return tuple(rat(c) for c in coords)
 
 
-def _scale_to_ints(points: Iterable[Sequence[Fraction]], dim: int,
-                   *scalars: Fraction) -> tuple[int, list[tuple[int, ...]], list[int]]:
-    """Put rational points and scalars on one common denominator.
+def _scale_to_ints(points: Iterable[Sequence[Fraction]],
+                   dim: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Put rational points on one common denominator.
 
-    Returns (L, keys, ints): L is the lcm of the denominators of every point
-    coordinate and every scalar, keys[i] is points[i] * L as a tuple of ints
-    and ints[j] is scalars[j] * L.  Each point must have exactly dim Fraction
-    coordinates.  Scaling by L > 0 keeps equality, lexicographic order and
-    strict inequalities, so the keys can stand in for the points.
+    Returns (L, keys): L is the lcm of the denominators of every point
+    coordinate and keys[i] is points[i] * L as a tuple of ints.  Each point
+    must have exactly dim Fraction coordinates.  Scaling by L > 0 keeps
+    equality, lexicographic order and strict inequalities, so the keys can
+    stand in for the points.
     """
     ratios = list(map(Fraction.as_integer_ratio,
-                      itertools.chain(scalars, itertools.chain.from_iterable(points))))
+                      itertools.chain.from_iterable(points)))
     scale = math.lcm(*{d for _, d in ratios})
     flat = iter([n * (scale // d) for n, d in ratios])
-    ints = list(itertools.islice(flat, len(scalars)))
-    return scale, list(zip(*[flat] * dim)), ints
+    return scale, list(zip(*[flat] * dim))
 
 
 def round_scalar(x) -> int:

@@ -14,8 +14,13 @@ from fractions import Fraction
 
 from .errors import FormatError
 
-_INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
-_FRAC_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)$")
+# a canonical integer has no leading zeros and no sign on zero
+_INT = r"0|-?[1-9][0-9]*"
+_INT_RE = re.compile(_INT)
+# the shape of a canonical rational token, an integer over an optional
+# denominator, with groups (numerator, denominator or None); that q >= 2
+# and p/q is in lowest terms is checked after the match
+RATIONAL_RE = re.compile(rf"({_INT})(?:/([1-9][0-9]*))?")
 
 
 def format_rational(x: Fraction) -> str:
@@ -24,21 +29,28 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse a canonical rational token, rejecting unreduced or exotic forms."""
-    if _INT_RE.match(token):
-        return Fraction(int(token))
-    m = _FRAC_RE.match(token)
+def parse_ratio(token: str) -> tuple[int, int]:
+    """Parse a canonical rational token to (numerator, denominator),
+    rejecting unreduced or exotic forms."""
+    m = RATIONAL_RE.fullmatch(token)
     if m is None:
         raise FormatError(f"not a canonical rational token: {token!r}")
-    num, den = int(m.group(1)), int(m.group(2))
-    if den == 1 or math.gcd(num, den) != 1:
+    num, den = m.groups()
+    if den is None:
+        return int(num), 1
+    n, d = int(num), int(den)
+    if d == 1 or math.gcd(n, d) != 1:
         raise FormatError(f"rational token not in lowest terms: {token!r}")
-    return Fraction(num, den)
+    return n, d
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse a canonical rational token, rejecting unreduced or exotic forms."""
+    return Fraction(*parse_ratio(token))
 
 
 def parse_int(token: str, what: str) -> int:
-    if not _INT_RE.match(token):
+    if not _INT_RE.fullmatch(token):
         raise FormatError(f"bad {what}: {token!r}")
     return int(token)
 

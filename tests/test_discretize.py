@@ -392,6 +392,7 @@ class TestChainFormat:
             "chain 1 2\n1 0\n",
             "chain 1 2\n1 0\n0 0.5\n",
             "chain 1 2\n1 0\n0 0\n",  # singular
+            "chain 1 2\n1 -0\n0 1\n",  # signed zero
         ],
     )
     def test_rejects_malformed(self, text):

@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from quasigrid.errors import DimensionMismatchError, DomainError, FormatError
 from quasigrid.pointset import (
     PointSet,
+    _PointView,
     _min_pairwise_distance,
     delone_estimate,
     dumps_qps,
@@ -248,11 +250,26 @@ class TestQpsFormat:
             "qps 1\ndim 1\ndomain 0 2\n1\n1\n",      # duplicated point
             "qps 1\ndim 1\ndomain 0 2\n1/2\n1/3\n",  # mixed denominators, unsorted
             "qps 1\ndim 2\ndomain 0 0 2\n1/3 1\n1/3 1/2\n",  # second axis unsorted
+            "qps 1\ndim 1\ndomain 0 2\n-0\n1\n",     # signed zero in a point
+            "qps 1\ndim 2\ndomain 0 0 2\n0 1\n1 -0\n",  # ... on the second axis
+            "qps 1\ndim 1\ndomain -0 2\n0\n1\n",     # signed zero in the domain
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             loads_qps(text)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1/2\n2/4\n", "rational token not in lowest terms: '2/4'"),
+        ("1/3\n3/1\n", "rational token not in lowest terms: '3/1'"),
+        ("1\n-0\n", "not a canonical rational token: '-0'"),
+        ("2/4\n1 2\n", "rational token not in lowest terms: '2/4'"),
+        ("1/2\n1\n1/3 1\n", "point line has 2 coordinates, not 1"),
+    ])
+    def test_names_the_first_bad_point_token(self, body, message):
+        with pytest.raises(FormatError) as err:
+            loads_qps("qps 1\ndim 1\ndomain 0 2\n" + body)
+        assert str(err.value) == message
 
     def test_incomplete_sets_not_serializable(self):
         s = PointSet.build(1, [(0,)], (0,), 2, complete=False)
@@ -389,3 +406,72 @@ class TestAgainstDefinition:
             PointSet.build(2, [(Fraction(1, 2), 0), (1, 2, 3)], (0, 0), 5)
         with pytest.raises(TypeError):
             PointSet.build(1, [(0.5,)], (0,), 5)
+
+
+class TestKeyView:
+    """Sets whose points are integer keys against sets built from Fractions:
+    equal whatever scale the keys were made on, in dims 1-3 and with
+    denominators 1, mixed 2-7 and 2^-32."""
+
+    def test_keys_on_any_scale_give_the_same_set(self):
+        rng = RngState(818)
+        for trial in range(120):
+            dim = 1 + trial % 3
+            pts, center, radius = random_set(rng, dim, DENOMINATORS[(trial // 3) % 3])
+            s = PointSet.build(dim, pts, center, radius)
+            points = [tuple(map(Fraction, p)) for p in pts]
+            scale = math.lcm(*(c.denominator for p in points for c in p))
+            for factor in (1, 16, 3728):
+                big = scale * factor
+                keys = [tuple(c.numerator * (big // c.denominator) for c in p)
+                        for p in points]
+                t = PointSet.build(dim, _PointView(big, keys), center, radius)
+                assert t == s and hash(t) == hash(s), (trial, factor)
+                assert t.points == s.points == tuple(
+                    canonical_points(dim, pts, center, radius))
+                assert dumps_qps(t) == dumps_qps(s)
+            assert type(s.points[1:]) is tuple
+            k = len(s) // 2
+            assert s.points[:k] + s.points[k + 1:] == tuple(
+                p for i, p in enumerate(s.points) if i != k)
+
+    def test_empty_sets_on_different_scales_are_equal(self):
+        a = PointSet.build(2, [], (0, 0), 3)
+        b = PointSet.build(2, _PointView(3728, []), (0, 0), 3)
+        c = translate(PointSet.build(2, [], (0, 0), 3), (0, 0))
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert a.points == b.points == () and dumps_qps(a) == dumps_qps(b)
+
+    def test_replaced_points_recompute_keys(self):
+        rng = RngState(819)
+        for trial in range(30):
+            dim = 1 + trial % 3
+            pts, center, radius = random_set(rng, dim, DENOMINATORS[trial % 3])
+            s = PointSet.build(dim, pts, center, radius)
+            if len(s) < 2:
+                continue
+            kept = s.points[1:]
+            t = replace(s, points=kept)
+            u = PointSet.build(dim, kept, center, radius)
+            assert t == u and hash(t) == hash(u) and t.points == u.points
+            assert t._keys == (u.points.scale, u.points.keys)
+            assert dumps_qps(t) == dumps_qps(u)
+            assert s.points[0] not in t and s.points[1] in t
+
+    def test_membership_matches_the_fraction_points(self):
+        rng = RngState(820)
+        for trial in range(90):
+            dim = 1 + trial % 3
+            dens = DENOMINATORS[(trial // 3) % 3]
+            pts, center, radius = random_set(rng, dim, dens)
+            s = PointSet.build(dim, pts, center, radius)
+            direct = replace(s, points=tuple(s.points))
+            members = set(s.points)
+            queries = list(s.points[:3])
+            for _ in range(6):
+                other = DENOMINATORS[rng.randrange(3)]
+                queries.append(tuple(c + random_rational(rng, other, 4)
+                                     for c in center))
+            queries += [(0,) * (dim + 1), center[:-1]]
+            for q in queries:
+                assert (q in s) == (q in direct) == (q in members), (trial, q)
