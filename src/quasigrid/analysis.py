@@ -29,9 +29,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .pointset import (PointSet, _in_box, _inside, _keys_at, _Keys,
-                       _min_pairwise_distance, _open_box, _shift_diff, _times,
-                       sym_diff)
-from .ratmath import Vec, ball_volume, inf_norm, rat, vec, vec_sub
+                       _min_pairwise_distance, _open_box, _shift_diff, sym_diff)
+from .ratmath import Vec, _times, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
 

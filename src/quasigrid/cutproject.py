@@ -23,12 +23,13 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
 from .latticeenum import IntConstraints, solve_integer_box
-from .pointset import PointSet, _PointView, _times
+from .pointset import PointSet, _PointView
 from .ratmath import (
     HALF,
     IntervalBox,
     RMatrix,
     Vec,
+    _times,
     ball_volume,
     preimage_bounds,
     rat,
@@ -110,12 +111,6 @@ class CutProjectScheme:
         if self.basis.determinant() == 0:
             raise SingularMatrixError("lattice basis is singular")
 
-    def p1(self, x: Sequence) -> Vec:
-        return tuple(x[: self.m])
-
-    def p2(self, x: Sequence) -> Vec:
-        return tuple(x[self.m:])
-
 
 @dataclass(frozen=True)
 class ModelSetPatch:
@@ -146,11 +141,9 @@ def _scaled_constraints(scheme: CutProjectScheme, window_box: IntervalBox,
     var_lo = [math.ceil(x) for x in coeff_box.lo]
     var_hi = [math.floor(x) for x in coeff_box.hi]
 
-    denoms = [e.denominator for row in scheme.basis.entries for e in row]
-    denoms += [x.denominator for x in target_lo + target_hi]
-    scale = math.lcm(*denoms)
-
-    coeffs = [tuple(_times(e, scale) for e in row) for row in scheme.basis.entries]
+    q, rows = scheme.basis._int_form
+    scale = math.lcm(q, *(x.denominator for x in target_lo + target_hi))
+    coeffs = [tuple(a * (scale // q) for a in row) for row in rows]
     lo = [_times(b, scale) + (0 if closed else 1)
           for b, closed in zip(target_lo, lo_closed)]
     hi = [_times(b, scale) - (0 if closed else 1)

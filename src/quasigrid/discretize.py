@@ -125,8 +125,7 @@ def _map_region_2d(inv: RMatrix, den: int, hull):
     The matrix acts through its integer numerators q * inv, so the image has
     integer vertices over den * q.
     """
-    q = math.lcm(*[e.denominator for row in inv.entries for e in row])
-    (a, b), (c, d) = [[int(e * q) for e in row] for row in inv.entries]
+    q, ((a, b), (c, d)) = inv._int_form
     return den * q, _hull_2d([(a * x + b * y, c * x + d * y) for x, y in hull])
 
 
@@ -248,8 +247,7 @@ def _hat_int_array(a: RMatrix, pts: np.ndarray) -> np.ndarray:
     """
     if pts.shape[0] == 0:
         return pts
-    q = math.lcm(*[e.denominator for row in a.entries for e in row])
-    numer = [[int(e * q) for e in row] for row in a.entries]
+    q, numer = a._int_form
     peak = int(np.abs(pts).max())
     worst = 2 * max(sum(abs(c) * peak for c in row) for row in numer) + q
     if pts.dtype == np.int64 and worst < (1 << 62):

@@ -47,8 +47,9 @@ class _BudgetMeter:
         self.visited += count
         if self.visited > self.budget:
             raise BudgetError(
-                f"enumeration would visit more than {self.budget} candidate "
-                "coefficient vectors (raise QUASIGRID_BUDGET to override)"
+                f"enumeration would visit {self.visited} candidate coefficient "
+                f"vectors, more than {self.budget} "
+                "(raise QUASIGRID_BUDGET to override)"
             )
 
 
@@ -234,14 +235,13 @@ def _solve_numpy(cons: IntConstraints, order, meter,
         var = order[level]
         counts = HI[:, var] - LO[:, var] + 1
         # the max test is exact on both dtypes and keeps the float sum below
-        # from overflowing on Python ints
+        # from overflowing on Python ints; past either test the exact total
+        # is over budget, and summed on Python ints so int64 cannot wrap
         if (counts.max() > meter.budget
                 or float(counts.sum(dtype=np.float64)) > 4 * meter.budget):
-            raise BudgetError(
-                f"enumeration would visit more than {meter.budget} candidate "
-                "coefficient vectors (raise QUASIGRID_BUDGET to override)"
-            )
-        total = int(counts.sum())
+            total = sum(counts.tolist())
+        else:
+            total = int(counts.sum())
         meter.charge(total)
         if total == 0:
             continue

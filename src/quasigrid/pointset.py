@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, FormatError
-from .ratmath import Vec, _scale_to_ints, inf_norm, rat, vec, vec_add, vec_sub
+from .ratmath import (Vec, _scale_to_ints, _times, inf_norm, rat, vec, vec_add,
+                      vec_sub)
 from .textio import (RATIONAL_RE, format_rational, parse_int, parse_ratio,
                      parse_rational, split_lines)
 
@@ -179,10 +180,6 @@ def _keys_at(s: PointSet, scale: int) -> _Keys:
         return keys
     return _group(map(operator.mul, itertools.chain.from_iterable(keys),
                       itertools.repeat(scale // own)), s.dim)
-
-
-def _times(x: Fraction, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
 
 
 def _open_box(center: Vec, radius: Fraction,

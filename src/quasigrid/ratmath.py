@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 from typing import Iterable, Sequence
@@ -51,6 +52,11 @@ def _scale_to_ints(points: Iterable[Sequence[Fraction]],
     scale = math.lcm(*{d for _, d in ratios})
     flat = iter([n * (scale // d) for n, d in ratios])
     return scale, list(zip(*[flat] * dim))
+
+
+def _times(x: Fraction, scale: int) -> int:
+    """x * scale for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
 def round_scalar(x) -> int:
@@ -119,12 +125,6 @@ class RMatrix:
             [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
-
     def apply(self, x: Sequence) -> Vec:
         """Matrix-vector product."""
         if len(x) != self.cols:
@@ -149,27 +149,40 @@ class RMatrix:
             ]
         )
 
-    def determinant(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
+    @cached_property
+    def _elimination(self) -> tuple[Fraction, "RMatrix | None"]:
+        """(determinant, inverse or None) of a square matrix, from one exact
+        Gauss-Jordan pass that keeps the signed product of its pivots."""
         n = self.rows
-        work = [list(row) for row in self.entries]
+        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                for i, row in enumerate(self.entries)]
         det = Fraction(1)
         for col in range(n):
             pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return Fraction(0), None
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
                 det = -det
             det *= work[col][col]
             inv = 1 / work[col][col]
-            for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        work[r][c] -= factor * work[col][c]
-        return det
+            work[col] = [e * inv for e in work[col]]
+            for r in range(n):
+                if r != col and work[r][col]:
+                    factor = work[r][col]
+                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+        return det, RMatrix.from_rows([row[n:] for row in work])
+
+    @cached_property
+    def _int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(q, rows): q the lcm of the entry denominators, rows = q * entries."""
+        q, rows = _scale_to_ints(self.entries, self.cols)
+        return q, tuple(rows)
+
+    def determinant(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("determinant needs a square matrix")
+        return self._elimination[0]
 
     def op_norm_inf(self) -> Fraction:
         """Operator norm for the infinity norm: max absolute row sum."""
@@ -177,24 +190,13 @@ class RMatrix:
 
 
 def invert_matrix(m: RMatrix) -> RMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on zero determinant."""
+    """Exact inverse from m's cached elimination; raises on zero determinant."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return RMatrix.from_rows([row[n:] for row in work])
+    inverse = m._elimination[1]
+    if inverse is None:
+        raise SingularMatrixError("matrix is singular")
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -253,11 +255,6 @@ class IntervalBox:
             if x > b or (x == b and not bc):
                 return False
         return True
-
-    def translate(self, shift: Sequence) -> "IntervalBox":
-        shift = vec(shift)
-        return IntervalBox(vec_add(self.lo, shift), vec_add(self.hi, shift),
-                           self.lo_closed, self.hi_closed)
 
 
 def preimage_bounds(m: RMatrix, box: IntervalBox) -> IntervalBox:

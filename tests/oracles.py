@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from quasigrid.ratmath import IntervalBox, preimage_bounds, round_scalar
 
@@ -133,6 +133,20 @@ def direct_round_image(mats, r_out, margin=4):
             tuple(Fraction(round_scalar(v)) for v in a.apply(p)) for p in pts
         }
     return sorted(p for p in pts if all(abs(c) < r_out for c in p))
+
+
+def leibniz_determinant(rows):
+    """det A = sum over permutations s of sign(s) * prod_i a[i][s(i)],
+    with sign(s) = (-1)^(number of inversions of s)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def sliding_max_count(values, length):

@@ -110,6 +110,23 @@ def test_budget_error_on_huge_ranges(bound, fits):
         solve_integer_box(cons, 10**8)
 
 
+@pytest.mark.parametrize("dim, half, refused", [
+    # 101 candidates in one batch, refused by the per-batch pre-check
+    (1, 50, 101),
+    # 21 candidates, then 21 * 21 more, refused by the running total
+    (2, 10, 21 + 21 * 21),
+], ids=["batch", "total"])
+def test_budget_error_names_count_and_limit(dim, half, refused):
+    cons = IntConstraints([tuple(int(i == j) for j in range(dim))
+                           for i in range(dim)],
+                          [-half] * dim, [half] * dim, [-half] * dim, [half] * dim)
+    assert len(solve_integer_box(cons, refused)) == (2 * half + 1) ** dim
+    with pytest.raises(BudgetError, match=(
+            rf"would visit {refused} candidate coefficient vectors, "
+            rf"more than {refused - 1} \(raise QUASIGRID_BUDGET to override\)")):
+        solve_integer_box(cons, refused - 1)
+
+
 def test_hat_array_bigint_fallback_matches_pointwise():
     a = RMatrix.from_rows([
         [Fraction(3, 1 << 32), Fraction(1, 3)],

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from oracles import leibniz_determinant
 from quasigrid.cutproject import iterated_scheme
 from quasigrid.errors import SingularMatrixError
 from quasigrid.ratmath import (
@@ -92,6 +93,9 @@ class TestInvert:
         inv = invert_matrix(shear)
         assert shear.matmul(inv) == RMatrix.identity(2)
         assert inv.matmul(shear) == RMatrix.identity(2)
+        dyadic = RMatrix.from_rows([[Fraction(3, 1 << 32), Fraction(-1, 3)],
+                                    [0, Fraction(5, 1 << 30)]])
+        assert dyadic._int_form == (3 << 32, ((9, -(1 << 32)), (0, 60)))
 
     def test_random_inverse_identity_both_sides(self):
         rng = RngState(103)
@@ -107,10 +111,75 @@ class TestInvert:
             inv = invert_matrix(m)
             assert m.matmul(inv) == RMatrix.identity(n)
             assert inv.matmul(m) == RMatrix.identity(n)
+            # an equal matrix asked in the other order gives the same values
+            twin = RMatrix.from_rows(m.entries)
+            assert invert_matrix(twin) == inv
+            assert twin.determinant() == m.determinant()
+            q, rows = m._int_form
+            assert q == math.lcm(*(e.denominator for row in m.entries for e in row))
+            assert rows == tuple(tuple(e * q for e in row) for row in m.entries)
+            assert all(type(a) is int for row in rows for a in row)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            invert_matrix(RMatrix.from_rows([[1, 2], [2, 4]]))
+        for first_det in (False, True):
+            m = RMatrix.from_rows([[1, 2], [2, 4]])
+            if first_det:
+                assert m.determinant() == 0
+            with pytest.raises(SingularMatrixError):
+                invert_matrix(m)
+            assert m.determinant() == 0
+
+    def test_non_square_rejected(self):
+        m = RMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="determinant needs a square"):
+            m.determinant()
+        with pytest.raises(ValueError, match="only square matrices"):
+            invert_matrix(m)
+
+
+class TestDeterminant:
+    def test_matches_leibniz(self):
+        # plain, zero leading pivot, singular and 2**-32 entries, n = 1..5
+        rng = RngState(107)
+        for n in range(1, 6):
+            for trial in range(16):
+                kind = trial % 4
+                if kind == 3:
+                    rows = [[Fraction(rng.randrange(1 << 34) - (1 << 33), 1 << 32)
+                             for _ in range(n)] for _ in range(n)]
+                else:
+                    # about one entry in three is zero, the rest signed
+                    rows = [[random_fraction(rng, 3, 6) if rng.randrange(3) else
+                             Fraction(0) for _ in range(n)] for _ in range(n)]
+                if kind == 1:
+                    rows[0][0] = Fraction(0)
+                    if n > 1:
+                        rows[1 + rng.randrange(n - 1)][0] = Fraction(
+                            1 + rng.randrange(5), 1 + rng.randrange(4))
+                elif kind == 2:
+                    # the last row is a rational combination of the others
+                    weights = [random_fraction(rng, 2, 3) for _ in range(n - 1)]
+                    rows[-1] = [sum((w * row[j] for w, row in zip(weights, rows)),
+                                    Fraction(0)) for j in range(n)]
+                m = RMatrix.from_rows(rows)
+                det = leibniz_determinant(rows)
+                assert m.determinant() == det, (n, trial)
+                if kind == 2:
+                    assert det == 0
+                if det == 0:
+                    with pytest.raises(SingularMatrixError):
+                        invert_matrix(m)
+                else:
+                    inv = invert_matrix(m)
+                    assert m.matmul(inv) == RMatrix.identity(n)
+                    assert inv.determinant() == 1 / det
+
+    def test_row_swaps_flip_the_sign(self):
+        swap = RMatrix.from_rows([[0, 1], [1, 0]])
+        assert swap.determinant() == -1
+        cycle = RMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert cycle.determinant() == 1
+        assert RMatrix.from_rows([[0, 0, 2], [0, 3, 0], [5, 0, 0]]).determinant() == -30
 
 
 def corner_hull(m, box):
