@@ -29,6 +29,7 @@ from .ratmath import (
     IntervalBox,
     RMatrix,
     Vec,
+    _block_bidiagonal,
     _times,
     ball_volume,
     preimage_bounds,
@@ -381,19 +382,9 @@ def iterated_scheme(maps: Sequence[RMatrix]) -> CutProjectScheme:
         if a.determinant() == 0:
             raise SingularMatrixError("iterated map is singular")
     k = len(maps)
-    size = n * (k + 1)
-    zero, one = Fraction(0), Fraction(1)
-    grid = [[zero] * size for _ in range(size)]
-    for block in range(k):
-        a = maps[block]
-        for i in range(n):
-            for j in range(n):
-                grid[block * n + i][block * n + j] = a.entries[i][j]
-            grid[block * n + i][(block + 1) * n + i] = -one
-    for i in range(n):
-        grid[k * n + i][k * n + i] = one
     window = Window(n * k, (IntervalBox.from_faces(_half_open_unit_axes(n * k)),))
-    return CutProjectScheme(n * k, n, RMatrix.from_rows(grid), window)
+    basis = _block_bidiagonal([*maps, RMatrix.identity(n)])
+    return CutProjectScheme(n * k, n, basis, window)
 
 
 # --- scheme text format ------------------------------------------------------

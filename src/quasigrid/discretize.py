@@ -43,7 +43,6 @@ from .textio import format_rational, parse_int, parse_rational, split_lines
 _QUANT = 1 << 32
 # 64 fractional bits of pi, enough that quantization to 2**-32 dominates.
 _PI = Fraction(0x3243F6A8885A308D3, 1 << 64)
-_SERIES_EPS = Fraction(1, 1 << 80)
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,12 @@ def _hat_int_array(a: RMatrix, pts: np.ndarray) -> np.ndarray:
         mat = np.array(numer, dtype=np.int64)
         num = pts @ mat.T
         rounded = -((-(2 * num - q)) // (2 * q))
-        return np.unique(rounded, axis=0)
+        # lexicographic row sort (lexsort's last key is the primary one),
+        # then keep each row that differs from its predecessor
+        rounded = rounded[np.lexsort(rounded.T[::-1])]
+        fresh = np.ones(rounded.shape[0], dtype=bool)
+        fresh[1:] = (rounded[1:] != rounded[:-1]).any(axis=1)
+        return rounded[fresh]
     images = {
         tuple(
             -((-(2 * sum(c * x for c, x in zip(row, p)) - q)) // (2 * q))
@@ -294,48 +298,56 @@ def apply_chain(chain: MapChain, r_out, budget: int | None = None,
 # --- random chains (rotation * stretch * rotation) ---------------------------
 
 
+def _series(p: int, den: int, j: int, step: int, sign: int) -> Fraction:
+    """Sum of sign**i * x**(j + step*i) / (j + step*i)! for x = p/den.
+
+    Terms are summed up to and including the first one below 2**-80 in
+    absolute value.  The partial sum is kept as an integer numerator over
+    the current term's denominator den**j * j!, which divides the next
+    term's, so no gcd is taken until the one Fraction at the end.
+    """
+    num, tden = p ** j, den ** j * math.factorial(j)
+    total = num
+    while abs(num) << 80 >= tden:
+        grow = den ** step * math.prod(range(j + 1, j + step + 1))
+        num *= sign * p ** step
+        total = total * grow + num
+        tden *= grow
+        j += step
+    return Fraction(total, tden)
+
+
 def _cos_sin_turn(f: Fraction) -> tuple[Fraction, Fraction]:
     """Exact-series cosine and sine of (2*pi*f), f a fraction of a turn."""
     f = f - math.floor(f + HALF)
-    x = 2 * _PI * f
-    x2 = x * x
-    cos_val, term, k = Fraction(1), Fraction(1), 0
-    while abs(term) >= _SERIES_EPS:
-        term = -term * x2 / ((2 * k + 1) * (2 * k + 2))
-        cos_val += term
-        k += 1
-    sin_val, term, k = x, x, 0
-    while abs(term) >= _SERIES_EPS:
-        term = -term * x2 / ((2 * k + 2) * (2 * k + 3))
-        sin_val += term
-        k += 1
-    return cos_val, sin_val
+    p, den = (2 * _PI * f).as_integer_ratio()
+    return _series(p, den, 0, 2, -1), _series(p, den, 1, 2, -1)
 
 
 def _exp(t: Fraction) -> Fraction:
-    total, term, k = Fraction(1), Fraction(1), 1
-    while abs(term) >= _SERIES_EPS:
-        term = term * t / k
-        total += term
-        k += 1
-    return total
-
-
-def _quantize(x: Fraction) -> Fraction:
-    return Fraction(round(x * _QUANT), _QUANT)
+    p, den = t.as_integer_ratio()
+    return _series(p, den, 0, 1, 1)
 
 
 def rotation_stretch_matrix(turn1: Fraction, stretch: Fraction,
                             turn2: Fraction) -> RMatrix:
     """R(turn1) * Diag(e^t, e^-t) * R(turn2), entries quantized to 2**-32."""
-    c1, s1 = _cos_sin_turn(turn1)
-    c2, s2 = _cos_sin_turn(turn2)
-    d, dinv = _exp(stretch), _exp(-stretch)
-    entries = [
-        [c1 * d * c2 - s1 * dinv * s2, -c1 * d * s2 - s1 * dinv * c2],
-        [s1 * d * c2 + c1 * dinv * s2, -s1 * d * s2 + c1 * dinv * c2],
-    ]
-    return RMatrix.from_rows([[_quantize(e) for e in row] for row in entries])
+    (c1, s1), (c2, s2) = (
+        [x.as_integer_ratio() for x in _cos_sin_turn(t)] for t in (turn1, turn2))
+    d, e = _exp(stretch).as_integer_ratio(), _exp(-stretch).as_integer_ratio()
+
+    def entry(sign_d, u, v, sign_e, w, z):
+        # sign_d*u*d*v + sign_e*w*e*z over one integer denominator, rounded
+        # to 2**-32 with ties to even, as round() rounds a Fraction
+        left, right = u[1] * d[1] * v[1], w[1] * e[1] * z[1]
+        num = (sign_d * u[0] * d[0] * v[0] * right
+               + sign_e * w[0] * e[0] * z[0] * left)
+        return Fraction(_round_half_even(num << 32, left * right), _QUANT)
+
+    return RMatrix.from_rows([
+        [entry(1, c1, c2, -1, s1, s2), entry(-1, c1, s2, -1, s1, c2)],
+        [entry(1, s1, c2, 1, c1, s2), entry(-1, s1, s2, 1, c1, c2)],
+    ])
 
 
 def sample_sl2_chain(rng: RngState, k: int) -> MapChain:

@@ -154,26 +154,50 @@ def _interval_div(num_lo, num_hi, det):
     return -((-num_hi) // det), num_lo // det
 
 
-def _sweep_numpy(a, lo, hi, LO, HI, fixed_mask, pairs):
+def _level_plans(cons: IntConstraints, order) -> list[tuple]:
+    """Per level L (the variables order[:L] fixed), what its sweep visits.
+
+    Returns, for L = 0..d, (passes, pairs, fixed columns): passes holds the
+    rows of each of the two passes, each with its unfixed variables.  A
+    row whose variables all lie in order[:L-1] is left out: one level up it
+    was checked on the same fixed values, and fixed columns never change.
+    A row whose last variable is order[L-1] is checked in the first pass
+    only, since the second would repeat the same check.
+    """
+    d = cons.dim
+    rank = {var: i for i, var in enumerate(order)}
+    support = [[j for j, a in enumerate(row) if a] for row in cons.coeffs]
+    # the level from which each row's variables are all fixed
+    settled = [max((rank[j] + 1 for j in cols), default=0) for cols in support]
+    plans = []
+    for level in range(d + 1):
+        fixed_mask = [rank[j] < level for j in range(d)]
+        first = [(r, [j for j in cols if not fixed_mask[j]])
+                 for r, cols in enumerate(support) if settled[r] >= level]
+        second = [(r, free) for r, free in first if settled[r] > level]
+        plans.append(((first, second), _row_pairs(cons.coeffs, fixed_mask),
+                      np.flatnonzero(fixed_mask)))
+    return plans
+
+
+def _sweep_numpy(a, lo, hi, LO, HI, plan):
     """Two propagation passes; returns (LO, HI, alive mask).
 
-    Each pass narrows every unfixed variable against every row, then solves
-    row pairs with a shared two-variable support exactly; without the pair
-    step, rotation-like 2x2 blocks never contract (interval dependency).
+    Each pass narrows every unfixed variable against the plan's rows, then
+    solves row pairs with a shared two-variable support exactly; without the
+    pair step, rotation-like 2x2 blocks never contract (interval dependency).
     """
-    n_rows = a.shape[0]
+    passes, pairs, fixed_cols = plan
     alive = np.ones(LO.shape[0], dtype=bool)
-    for _ in range(2):
-        for r in range(n_rows):
+    for rows in passes:
+        for r, free in rows:
             arow = a[r]
             term_lo = np.minimum(arow * LO, arow * HI)
             term_hi = np.maximum(arow * LO, arow * HI)
             tot_lo = term_lo.sum(axis=1)
             tot_hi = term_hi.sum(axis=1)
             alive &= (tot_lo <= hi[r]) & (tot_hi >= lo[r])
-            for j in range(a.shape[1]):
-                if arow[j] == 0 or fixed_mask[j]:
-                    continue
+            for j in free:
                 other_lo = tot_lo - term_lo[:, j]
                 other_hi = tot_hi - term_hi[:, j]
                 num_lo = lo[r] - other_hi
@@ -184,7 +208,6 @@ def _sweep_numpy(a, lo, hi, LO, HI, fixed_mask, pairs):
                 alive &= LO[:, j] <= HI[:, j]
                 # keep dead rows self-consistent so later passes stay valid
                 np.minimum(LO[:, j], HI[:, j], out=LO[:, j])
-        fixed_cols = np.flatnonzero(fixed_mask)
         for r, s, u, v, det in pairs:
             if fixed_cols.size:
                 fr = (a[r, fixed_cols] * LO[:, fixed_cols]).sum(axis=1)
@@ -217,15 +240,12 @@ def _solve_numpy(cons: IntConstraints, order, meter,
     hi = np.array(cons.hi, dtype=dtype)
     LO0 = np.array([cons.var_lo], dtype=dtype)
     HI0 = np.array([cons.var_hi], dtype=dtype)
+    plans = _level_plans(cons, order)
     out: list[tuple[int, ...]] = []
     stack = [(0, LO0, HI0)]
     while stack:
         level, LO, HI = stack.pop()
-        fixed_mask = np.zeros(d, dtype=bool)
-        for j in order[:level]:
-            fixed_mask[j] = True
-        pairs = _row_pairs(cons.coeffs, fixed_mask)
-        LO, HI, alive = _sweep_numpy(a, lo, hi, LO, HI, fixed_mask, pairs)
+        LO, HI, alive = _sweep_numpy(a, lo, hi, LO, HI, plans[level])
         LO, HI = LO[alive], HI[alive]
         if LO.shape[0] == 0:
             continue

@@ -199,6 +199,38 @@ def invert_matrix(m: RMatrix) -> RMatrix:
     return inverse
 
 
+def _block_bidiagonal(diagonal: Sequence[RMatrix]) -> RMatrix:
+    """Upper block-bidiagonal matrix: the given invertible n x n blocks on the
+    diagonal and -Id above each of them but the last.
+
+    Its elimination cache is filled from the blocks, with no Gauss-Jordan on
+    the whole matrix: the determinant is the product of the blocks', and
+    block (b, c) of the inverse is D_b^-1 D_(b+1)^-1 ... D_c^-1 for c >= b,
+    zero below the diagonal.
+    """
+    n, k = diagonal[0].rows, len(diagonal)
+    size = n * k
+    zero, minus_one = Fraction(0), Fraction(-1)
+    grid = [[zero] * size for _ in range(size)]
+    inverse = [[zero] * size for _ in range(size)]
+    det = Fraction(1)
+    below: list[RMatrix] = []  # row b + 1 of the inverse, blocks c > b
+    for b in reversed(range(k)):
+        block = diagonal[b]
+        det *= block.determinant()
+        block_inv = invert_matrix(block)
+        below = [block_inv] + [block_inv.matmul(x) for x in below]
+        for i in range(n):
+            grid[b * n + i][b * n:b * n + n] = block.entries[i]
+            if b + 1 < k:
+                grid[b * n + i][(b + 1) * n + i] = minus_one
+            inverse[b * n + i][b * n:] = itertools.chain.from_iterable(
+                x.entries[i] for x in below)
+    m = RMatrix.from_rows(grid)
+    m.__dict__["_elimination"] = (det, RMatrix.from_rows(inverse))
+    return m
+
+
 @dataclass(frozen=True)
 class IntervalBox:
     """Axis-aligned box with per-face open/closed flags.

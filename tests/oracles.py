@@ -149,6 +149,54 @@ def leibniz_determinant(rows):
     return total
 
 
+# 64 fractional bits of pi, the constant the sampler's series start from.
+SERIES_PI = Fraction(0x3243F6A8885A308D3, 1 << 64)
+SERIES_EPS = Fraction(1, 1 << 80)
+
+
+def cos_sin_turn_reference(f):
+    """cos and sin of 2*pi*f by their Taylor series in Fractions, summed up
+    to and including the first term below 2**-80, f reduced to [-1/2, 1/2)."""
+    f = f - math.floor(f + Fraction(1, 2))
+    x = 2 * SERIES_PI * f
+    x2 = x * x
+    cos_val, term, k = Fraction(1), Fraction(1), 0
+    while abs(term) >= SERIES_EPS:
+        term = -term * x2 / ((2 * k + 1) * (2 * k + 2))
+        cos_val += term
+        k += 1
+    sin_val, term, k = x, x, 0
+    while abs(term) >= SERIES_EPS:
+        term = -term * x2 / ((2 * k + 2) * (2 * k + 3))
+        sin_val += term
+        k += 1
+    return cos_val, sin_val
+
+
+def exp_reference(t):
+    """e^t by its Taylor series in Fractions, with the same stopping rule."""
+    total, term, k = Fraction(1), Fraction(1), 1
+    while abs(term) >= SERIES_EPS:
+        term = term * t / k
+        total += term
+        k += 1
+    return total
+
+
+def rotation_stretch_reference(turn1, stretch, turn2):
+    """Entries of R(turn1) * Diag(e^t, e^-t) * R(turn2), each rounded to the
+    nearest multiple of 2**-32 by round() (ties to even)."""
+    c1, s1 = cos_sin_turn_reference(turn1)
+    c2, s2 = cos_sin_turn_reference(turn2)
+    d, dinv = exp_reference(stretch), exp_reference(-stretch)
+    entries = [
+        [c1 * d * c2 - s1 * dinv * s2, -c1 * d * s2 - s1 * dinv * c2],
+        [s1 * d * c2 + c1 * dinv * s2, -s1 * d * s2 + c1 * dinv * c2],
+    ]
+    return [[Fraction(round(e * (1 << 32)), 1 << 32) for e in row]
+            for row in entries]
+
+
 def sliding_max_count(values, length):
     """Max point count of an open interval of given length (1d, sorted)."""
     vals = sorted(values)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_enumerate, random_scheme, residue_member
+from oracles import brute_enumerate, frac_entry, random_scheme, residue_member
 from quasigrid.cutproject import (
     box_minus,
     dumps_scheme,
@@ -16,7 +16,8 @@ from quasigrid.cutproject import (
 )
 from quasigrid.errors import BudgetError, FormatError, SingularMatrixError
 from quasigrid.pointset import restrict
-from quasigrid.ratmath import IntervalBox, RMatrix, round_scalar
+from quasigrid.discretize import sample_sl2_chain
+from quasigrid.ratmath import IntervalBox, RMatrix, invert_matrix, round_scalar
 from quasigrid.rng import RngState
 
 
@@ -196,8 +197,40 @@ class TestIteratedScheme:
         assert one.points == two.points
 
     def test_rejects_singular(self):
+        singular = RMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(SingularMatrixError):
-            iterated_scheme((RMatrix.from_rows([[1, 1], [1, 1]]),))
+            iterated_scheme((singular,))
+        shear = RMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]])
+        with pytest.raises(SingularMatrixError):
+            iterated_scheme((shear, singular, shear))
+
+    def test_block_inverse_equals_generic_elimination(self):
+        # the basis's determinant and inverse come from its blocks; a copy
+        # of the same entries takes the Gauss-Jordan of the whole matrix
+        rng = RngState(115)
+        chains = []
+        for n in (1, 2, 3):
+            for k in range(1, 11):
+                maps = []
+                while len(maps) < k:
+                    if len(maps) % 3 == 2:  # entries over 2**32
+                        rows = [[Fraction(rng.randrange(1 << 34) - (1 << 33),
+                                          1 << 32) for _ in range(n)]
+                                for _ in range(n)]
+                    else:  # zero and negative entries
+                        rows = [[frac_entry(rng, 2, 4) for _ in range(n)]
+                                for _ in range(n)]
+                    a = RMatrix.from_rows(rows)
+                    if a.determinant() != 0:
+                        maps.append(a)
+                chains.append(maps)
+        for k in (1, 5, 11, 20):
+            chains.append(sample_sl2_chain(RngState(k), k).matrices)
+        for maps in chains:
+            basis = iterated_scheme(maps).basis
+            generic = RMatrix.from_rows(basis.entries)
+            assert basis.determinant() == generic.determinant()
+            assert invert_matrix(basis) == invert_matrix(generic)
 
 
 class TestSchemeFormat:

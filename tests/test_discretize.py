@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import direct_round_image
+from oracles import (
+    cos_sin_turn_reference,
+    direct_round_image,
+    exp_reference,
+    rotation_stretch_reference,
+)
 from quasigrid.cutproject import (
     _scaled_constraints,
     enumerate_model_set,
@@ -27,7 +32,7 @@ from quasigrid.discretize import (
 from quasigrid.errors import BudgetError, DomainError, FormatError
 from quasigrid.latticeenum import _fits_int64
 from quasigrid.pointset import PointSet
-from quasigrid.ratmath import RMatrix, invert_matrix
+from quasigrid.ratmath import HALF, RMatrix, invert_matrix
 from quasigrid.rng import RngState
 
 
@@ -374,6 +379,29 @@ class TestSl2Sampler:
             assert abs(float(s) - math.sin(2 * math.pi * float(f))) < 1e-12
         for t in (Fraction(-1, 2), Fraction(1, 5), Fraction(1, 2)):
             assert abs(float(_exp(t)) - math.exp(float(t))) < 1e-12
+
+
+    def test_series_equal_fraction_reference(self):
+        # the integer-numerator series give the very Fractions of the plain
+        # Fraction series, and the entries their round()-quantization
+        edges = [Fraction(0), HALF, -HALF, Fraction(1, 4), Fraction(-1, 4),
+                 Fraction(3, 4), Fraction(1, 1 << 32), HALF - Fraction(1, 1 << 32)]
+        rng = RngState(77)
+        turns = edges + [rng.unit() for _ in range(300)]
+        stretches = [Fraction(0), HALF, -HALF] + [rng.unit() - HALF
+                                                 for _ in range(300)]
+        for f in turns:
+            assert _cos_sin_turn(f) == cos_sin_turn_reference(f), f
+        for t in stretches:
+            assert _exp(t) == exp_reference(t), t
+        triples = [(f, t, g) for f in edges for t in stretches[:3]
+                   for g in edges[::3]]
+        triples += list(zip(turns[8:108], stretches[3:103], turns[108:208]))
+        for turn1, stretch, turn2 in triples:
+            m = rotation_stretch_matrix(turn1, stretch, turn2)
+            assert ([list(row) for row in m.entries]
+                    == rotation_stretch_reference(turn1, stretch, turn2)), (
+                turn1, stretch, turn2)
 
 
 class TestChainFormat:

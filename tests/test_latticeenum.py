@@ -1,9 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
 
+from oracles import frac_entry
+from quasigrid.cutproject import _scaled_constraints, iterated_scheme
 from quasigrid.discretize import _hat_int_array, hat_point
 from quasigrid.errors import BudgetError
 from quasigrid.latticeenum import (
@@ -55,6 +58,70 @@ def test_both_paths_match_brute_force():
         slow = sorted(_solve_python(cons, order, _BudgetMeter(10**8)))
         assert fast == expected
         assert slow == expected
+
+
+def chain_system(maps, radius):
+    """The integer system of an iterated scheme's window box and B(0, radius):
+    upper block-bidiagonal rows, maps on the diagonal and -Id above them."""
+    scheme = iterated_scheme(maps)
+    cons, _ = _scaled_constraints(scheme, scheme.window.boxes[0],
+                                  (Fraction(0),) * maps[0].rows, Fraction(radius))
+    return cons
+
+
+def chain_systems(seed, count):
+    """Seeded chain systems (n = 1, k = 1-3; n = 2, k = 1-2) small enough
+    to brute force."""
+    rng = RngState(seed)
+    while count:
+        n = 1 + rng.randrange(2)
+        k = 1 + rng.randrange(4 - n)
+        maps = []
+        while len(maps) < k:
+            # zero and negative entries, denominators up to 4
+            a = RMatrix.from_rows([[frac_entry(rng, 2, 4) for _ in range(n)]
+                                   for _ in range(n)])
+            if a.determinant() != 0:
+                maps.append(a)
+        cons = chain_system(maps, Fraction(1 + rng.randrange(6), 2))
+        if prod(h - l + 1 for l, h in zip(cons.var_lo, cons.var_hi)) <= 20_000:
+            count -= 1
+            yield cons
+
+
+def test_chain_systems_match_brute_force():
+    # the rows' variables get fixed over several levels, so the sweep skips
+    # and shortens rows whose variables are all fixed; a zero row has none,
+    # and holds or fails from level 0 on
+    for cons in chain_systems(92, 30):
+        for zero_lo in (None, 0, 1):
+            system = cons if zero_lo is None else IntConstraints(
+                cons.coeffs + [(0,) * cons.dim], cons.lo + [zero_lo],
+                cons.hi + [1], cons.var_lo, cons.var_hi)
+            expected = brute_solutions(system)
+            assert bool(expected) != (zero_lo == 1)
+            order = _choose_order(system)
+            for solve in (_solve_numpy, _solve_python):
+                assert sorted(solve(system, order, _BudgetMeter(10**8))) == expected
+
+
+@pytest.mark.parametrize("maps, radius, visited, solutions", [
+    (([[Fraction(3, 2)]], [[Fraction(-2, 3)]], [[Fraction(5, 4)]]),
+     Fraction(15, 2), 48, 12),
+    (([[1, Fraction(1, 2)], [0, 1]], [[1, 0], [Fraction(1, 3), 1]]),
+     Fraction(7, 2), 189, 49),
+    (([[Fraction(3, 4), Fraction(-1, 2)], [Fraction(1, 2), Fraction(3, 4)]],
+      [[0, Fraction(-3, 2)], [Fraction(2, 3), Fraction(1, 4)]],
+      [[Fraction(5, 4), 0], [Fraction(-1, 3), 1]]),
+     Fraction(5, 2), 80, 18),
+], ids=["n1_k3", "n2_k2_shears", "n2_k3_zero_entries"])
+def test_chain_system_visits(maps, radius, visited, solutions):
+    cons = chain_system([RMatrix.from_rows(m) for m in maps], radius)
+    order = _choose_order(cons)
+    for solve in (_solve_numpy, _solve_python):
+        meter = _BudgetMeter(10**8)
+        assert len(solve(cons, order, meter)) == solutions
+        assert meter.visited == visited
 
 
 def scaled_systems(seed, count=10):
@@ -142,6 +209,26 @@ def test_hat_array_bigint_fallback_matches_pointwise():
          for p in pts}
     )
     assert [tuple(int(x) for x in row) for row in images.tolist()] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hat_array_dedupe_matches_unique(n):
+    # entries in [-1, 1] over denominators up to 4 send many points, and
+    # repeated input rows, to one image; sizes 0 and 1 are edge cases
+    rng = RngState(93 + n)
+    for trial in range(24):
+        a = RMatrix.from_rows([[frac_entry(rng, 1, 4) for _ in range(n)]
+                               for _ in range(n)])
+        size = (0, 1, 2 + rng.randrange(120))[trial % 3]
+        pts = np.array([[rng.randrange(41) - 20 for _ in range(n)]
+                        for _ in range(size)], dtype=np.int64).reshape(size, n)
+        images = [[int(c) for c in hat_point(a, tuple(map(Fraction, p)))]
+                  for p in pts.tolist()]
+        expected = np.unique(np.array(images, dtype=np.int64).reshape(size, n),
+                             axis=0)
+        got = _hat_int_array(a, pts)
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected), (n, trial)
 
 
 def test_empty_ranges_short_circuit():
