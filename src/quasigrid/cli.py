@@ -20,7 +20,7 @@ from . import analysis, cutproject, discretize, pointset
 from .errors import BudgetError, DomainError, FormatError, QuasigridError
 from .ratmath import RMatrix
 from .rng import RngState
-from .textio import parse_rational
+from .textio import parse_rational, write_text
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -44,11 +44,7 @@ def _positive_rational(text: str) -> Fraction:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(sys.stdout if path is None or path == "-" else path, text)
 
 
 def _write_bytes(path: str, blob: bytes) -> None:

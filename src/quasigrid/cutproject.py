@@ -16,13 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, FormatError, SingularMatrixError
-from .latticeenum import IntConstraints, solve_integer_box
+from .latticeenum import IntConstraints, enumeration_budget, solve_integer_box
 from .pointset import PointSet, _PointView
 from .ratmath import (
     HALF,
@@ -36,22 +35,8 @@ from .ratmath import (
     rat,
     vec,
 )
-from .textio import format_rational, parse_int, parse_rational, split_lines
-
-DEFAULT_BUDGET = 10**8
-
-
-def enumeration_budget() -> int:
-    raw = os.environ.get("QUASIGRID_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise FormatError(f"QUASIGRID_BUDGET is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise FormatError("QUASIGRID_BUDGET must be positive")
-    return value
+from .textio import (format_rational, parse_int, parse_rational, read_text,
+                     split_lines, write_text)
 
 
 @dataclass(frozen=True)
@@ -170,8 +155,8 @@ def _images(rows: list[list[int]],
     return list(zip(*images))
 
 
-def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
-                        budget: int | None = None) -> ModelSetPatch:
+def enumerate_model_set(scheme: CutProjectScheme, center: Sequence,
+                        radius) -> ModelSetPatch:
     """All model-set points strictly inside B(center, radius), with dedup.
 
     The physical projection need not be injective; coefficient vectors whose
@@ -183,8 +168,7 @@ def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
         raise DimensionMismatchError("center must live in physical space")
     if radius <= 0:
         raise ValueError("enumeration radius must be positive")
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
 
     # each box's physical rows, on the smallest scale that keeps them
     # integral, and the lcm of those scales, on which all points get keys
@@ -210,8 +194,7 @@ def enumerate_model_set(scheme: CutProjectScheme, center: Sequence, radius,
     return ModelSetPatch(scheme, patch, len(accepted) - len(patch))
 
 
-def translation_set(scheme: CutProjectScheme, eta, radius,
-                    budget: int | None = None) -> PointSet:
+def translation_set(scheme: CutProjectScheme, eta, radius) -> PointSet:
     """Candidate near-translations: same lattice, window swapped for the
     closed cube of radius eta around the internal origin."""
     eta = rat(eta)
@@ -219,7 +202,7 @@ def translation_set(scheme: CutProjectScheme, eta, radius,
         raise ValueError("eta must be positive")
     swapped = CutProjectScheme(scheme.m, scheme.n, scheme.basis,
                                Window.cube(scheme.m, eta, closed=True))
-    return enumerate_model_set(swapped, (0,) * scheme.n, radius, budget).patch
+    return enumerate_model_set(swapped, (0,) * scheme.n, radius).patch
 
 
 # --- flagged box subtraction (for window inflation) -------------------------
@@ -286,8 +269,8 @@ def boxes_minus(minuend: Sequence[IntervalBox],
     return result
 
 
-def window_inflation_density(scheme: CutProjectScheme, eta, radius,
-                             budget: int | None = None) -> Fraction:
+def window_inflation_density(scheme: CutProjectScheme, eta,
+                             radius) -> Fraction:
     """Windowed density of the boundary-tube model set Q(eta) over B(0, R).
 
     The tube window is the closed eta-inflation of the original window
@@ -318,7 +301,7 @@ def window_inflation_density(scheme: CutProjectScheme, eta, radius,
         return Fraction(0)
     tube_scheme = CutProjectScheme(scheme.m, scheme.n, scheme.basis,
                                    Window(scheme.m, tuple(tube)))
-    patch = enumerate_model_set(tube_scheme, (0,) * scheme.n, radius, budget)
+    patch = enumerate_model_set(tube_scheme, (0,) * scheme.n, radius)
     return Fraction(len(patch.patch)) / ball_volume(radius, scheme.n)
 
 
@@ -464,16 +447,8 @@ def loads_scheme(text: str) -> CutProjectScheme:
 
 
 def write_scheme(path_or_stream, scheme: CutProjectScheme) -> None:
-    text = dumps_scheme(scheme)
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(path_or_stream, dumps_scheme(scheme))
 
 
 def read_scheme(path_or_stream) -> CutProjectScheme:
-    if hasattr(path_or_stream, "read"):
-        return loads_scheme(path_or_stream.read())
-    with open(path_or_stream, "r", encoding="utf-8", newline="") as fh:
-        return loads_scheme(fh.read())
+    return loads_scheme(read_text(path_or_stream))

@@ -20,25 +20,24 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError, FormatError
-from .cutproject import enumeration_budget
-from .pointset import PointSet, _keys_at, _PointView
+from .latticeenum import enumeration_budget
+from .pointset import PointSet, _PointView
 from .ratmath import (
     HALF,
     IntervalBox,
     RMatrix,
-    Vec,
     invert_matrix,
     preimage_bounds,
     rat,
     round_vector,
 )
 from .rng import RngState
-from .textio import format_rational, parse_int, parse_rational, split_lines
+from .textio import (format_rational, parse_int, parse_rational, read_text,
+                     split_lines, write_text)
 
 _QUANT = 1 << 32
 # 64 fractional bits of pi, enough that quantization to 2**-32 dominates.
@@ -63,10 +62,6 @@ class MapChain:
             invert_matrix(a)  # raises SingularMatrixError if not invertible
 
 
-def hat_point(a: RMatrix, x: Sequence) -> Vec:
-    return round_vector(a.apply(x))
-
-
 def apply_hat(a: RMatrix, s: PointSet) -> PointSet:
     """Image of a point set under the discretized map, deduplicated.
 
@@ -78,13 +73,15 @@ def apply_hat(a: RMatrix, s: PointSet) -> PointSet:
     if a.rows != a.cols or a.rows != s.dim:
         raise DimensionMismatchError(f"map must be {s.dim}x{s.dim}")
     invert_matrix(a)
-    for p in s.points:
-        if any(c.denominator != 1 for c in p):
-            raise ValueError(f"apply_hat needs integer points, got {p}")
-    images = {hat_point(a, p) for p in s.points}
+    scale, keys = s._keys
+    if scale != 1:  # the reduced scale is 1 exactly when all points are integer
+        bad = next(p for p in s.points if any(c.denominator != 1 for c in p))
+        raise ValueError(f"apply_hat needs integer points, got {bad}")
+    images = _hat_int_array(a, np.array(keys, dtype=object).reshape(-1, s.dim))
     center = round_vector(a.apply(s.center))
     radius = Fraction(math.ceil(a.op_norm_inf() * s.radius) + 1)
-    return PointSet.build(s.dim, images, center, radius, complete=False)
+    return PointSet.build(s.dim, _PointView(1, list(map(tuple, images.tolist()))),
+                          center, radius, complete=False)
 
 
 # --- exact back-propagated input regions -------------------------------------
@@ -188,7 +185,7 @@ def _column_bounds(region, budget: int):
                    max(n // d for n, d in ys))
 
 
-def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
+def _input_region(chain: MapChain, r_out: Fraction):
     """Closed region of Z^dim inputs needed for completeness in B(0, r_out).
 
     dim 2 propagates the exact preimage as a convex polygon with integer
@@ -205,16 +202,14 @@ def _input_region(chain: MapChain, r_out: Fraction, scale: Fraction):
             den, region = _map_region_2d(
                 invert_matrix(a), den, _mink_cube_2d(region, den // 2))
             den, region = _simplify_2d(den, region)
-        s, t = scale.as_integer_ratio()
-        return den * t, [(x * s, y * s) for x, y in region]
+        return den, region
     box = IntervalBox.closed((-r_out,) * n, (r_out,) * n)
     for a in reversed(chain.matrices):
         grown = IntervalBox.closed(
             [l - HALF for l in box.lo], [h + HALF for h in box.hi]
         )
         box = preimage_bounds(a, grown)
-    return IntervalBox.closed([l * scale for l in box.lo],
-                              [h * scale for h in box.hi])
+    return box
 
 
 def _region_int_points(region, n: int, budget: int) -> np.ndarray:
@@ -239,53 +234,36 @@ def _region_int_points(region, n: int, budget: int) -> np.ndarray:
 
 
 def _hat_int_array(a: RMatrix, pts: np.ndarray) -> np.ndarray:
-    """Rounded images A*x over an integer point array, deduplicated.
+    """Rounded images A*x over an integer point array, deduplicated, in
+    lexicographic order.
 
-    Runs vectorized on int64 when a worst-case bound rules out overflow,
-    otherwise falls back to exact big-int arithmetic row by row.
+    Runs on int64 when a worst-case bound rules out overflow, otherwise on
+    object arrays of Python ints; the bound alone picks the dtype.
     """
     if pts.shape[0] == 0:
         return pts
     q, numer = a._int_form
-    peak = int(np.abs(pts).max())
+    # peak >= 1 keeps every entry of numer inside the bound as well
+    peak = max(1, int(np.abs(pts).max()))
     worst = 2 * max(sum(abs(c) * peak for c in row) for row in numer) + q
-    if pts.dtype == np.int64 and worst < (1 << 62):
-        mat = np.array(numer, dtype=np.int64)
-        num = pts @ mat.T
-        rounded = -((-(2 * num - q)) // (2 * q))
-        # lexicographic row sort (lexsort's last key is the primary one),
-        # then keep each row that differs from its predecessor
-        rounded = rounded[np.lexsort(rounded.T[::-1])]
-        fresh = np.ones(rounded.shape[0], dtype=bool)
-        fresh[1:] = (rounded[1:] != rounded[:-1]).any(axis=1)
-        return rounded[fresh]
-    images = {
-        tuple(
-            -((-(2 * sum(c * x for c, x in zip(row, p)) - q)) // (2 * q))
-            for row in numer
-        )
-        for p in map(tuple, pts.tolist())
-    }
-    out = sorted(images)
-    if max(abs(x) for p in out for x in p) < (1 << 62):
-        return np.array(out, dtype=np.int64)
-    return np.array(out, dtype=object)
+    dtype = np.int64 if worst < (1 << 62) else object
+    num = pts.astype(dtype, copy=False) @ np.array(numer, dtype=dtype).T
+    rounded = -((-(2 * num - q)) // (2 * q))
+    # lexicographic row sort (lexsort's last key is the primary one),
+    # then keep each row that differs from its predecessor
+    rounded = rounded[np.lexsort(rounded.T[::-1])]
+    fresh = np.ones(rounded.shape[0], dtype=bool)
+    fresh[1:] = (rounded[1:] != rounded[:-1]).any(axis=1)
+    return rounded[fresh]
 
 
-def apply_chain(chain: MapChain, r_out, budget: int | None = None,
-                input_scale=1) -> PointSet:
-    """The chain applied to the full integer lattice, complete in B(0, r_out).
-
-    input_scale enlarges the back-propagated input region about the origin;
-    1 is already sound, larger values exist so soundness can be cross-checked.
-    """
+def apply_chain(chain: MapChain, r_out) -> PointSet:
+    """The chain applied to the full integer lattice, complete in B(0, r_out)."""
     r_out = rat(r_out)
     if r_out <= 0:
         raise ValueError("output radius must be positive")
-    if budget is None:
-        budget = enumeration_budget()
-    region = _input_region(chain, r_out, rat(input_scale))
-    pts = _region_int_points(region, chain.dim, budget)
+    region = _input_region(chain, r_out)
+    pts = _region_int_points(region, chain.dim, enumeration_budget())
     for a in chain.matrices:
         pts = _hat_int_array(a, pts)
     # for an integer x, |x| < r_out exactly when |x| <= ceil(r_out) - 1;
@@ -408,39 +386,27 @@ def loads_chain(text: str) -> MapChain:
         raise FormatError(f"chain content invalid: {exc}") from exc
 
 
-def chain_model_witness(chain: MapChain, radius, budget: int | None = None,
-                        scheme=None):
+def chain_model_witness(chain: MapChain, radius):
     """Compare the direct rounding pipeline against model-set enumeration.
 
     Both pipelines compute the chain image of the integer lattice inside
-    B(0, radius); on agreement returns None, otherwise the lexicographically
-    first differing point.  A scheme override exists so deliberately broken
-    schemes can be probed.
+    B(0, radius), the second by enumerating iterated_scheme(chain.matrices);
+    on agreement returns None, otherwise the lexicographically first
+    differing point.
     """
     from .cutproject import enumerate_model_set, iterated_scheme
 
-    if scheme is None:
-        scheme = iterated_scheme(chain.matrices)
-    direct = apply_chain(chain, radius, budget)
-    modeled = enumerate_model_set(scheme, (0,) * chain.dim, radius, budget)
+    direct = apply_chain(chain, radius)
+    modeled = enumerate_model_set(iterated_scheme(chain.matrices),
+                                  (0,) * chain.dim, radius)
     if direct.points == modeled.patch.points:
         return None
-    scale = math.lcm(direct._keys[0], modeled.patch._keys[0])
-    first = min(set(_keys_at(direct, scale)) ^ set(_keys_at(modeled.patch, scale)))
-    return tuple(Fraction(x, scale) for x in first)
+    return min(set(direct.points) ^ set(modeled.patch.points))
 
 
 def write_chain(path_or_stream, chain: MapChain) -> None:
-    text = dumps_chain(chain)
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(path_or_stream, dumps_chain(chain))
 
 
 def read_chain(path_or_stream) -> MapChain:
-    if hasattr(path_or_stream, "read"):
-        return loads_chain(path_or_stream.read())
-    with open(path_or_stream, "r", encoding="utf-8", newline="") as fh:
-        return loads_chain(fh.read())
+    return loads_chain(read_text(path_or_stream))

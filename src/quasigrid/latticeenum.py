@@ -15,12 +15,14 @@ on object arrays of Python ints otherwise.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, FormatError
 
+DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 19  # max prefixes materialized per batch
 _INT64_SAFE = 1 << 61
 
@@ -36,6 +38,20 @@ class IntConstraints:
     @property
     def dim(self) -> int:
         return len(self.var_lo)
+
+
+def enumeration_budget() -> int:
+    """The candidate budget: QUASIGRID_BUDGET if set, else DEFAULT_BUDGET."""
+    raw = os.environ.get("QUASIGRID_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise FormatError(f"QUASIGRID_BUDGET is not an integer: {raw!r}") from exc
+    if value < 1:
+        raise FormatError("QUASIGRID_BUDGET must be positive")
+    return value
 
 
 class _BudgetMeter:
@@ -157,12 +173,12 @@ def _interval_div(num_lo, num_hi, det):
 def _level_plans(cons: IntConstraints, order) -> list[tuple]:
     """Per level L (the variables order[:L] fixed), what its sweep visits.
 
-    Returns, for L = 0..d, (passes, pairs, fixed columns): passes holds the
-    rows of each of the two passes, each with its unfixed variables.  A
-    row whose variables all lie in order[:L-1] is left out: one level up it
-    was checked on the same fixed values, and fixed columns never change.
-    A row whose last variable is order[L-1] is checked in the first pass
-    only, since the second would repeat the same check.
+    Returns, for L = 0..d, (rows, pairs, fixed columns): rows holds the
+    rows both passes check, each with its unfixed variables.  A row whose
+    variables all lie in order[:L] is left out: one level up it had at most
+    one unfixed variable, which the sweep narrowed to exactly the values
+    that satisfy it, and fixed columns never change.  A row with no
+    variables is checked once, at level 0.
     """
     d = cons.dim
     rank = {var: i for i, var in enumerate(order)}
@@ -172,10 +188,10 @@ def _level_plans(cons: IntConstraints, order) -> list[tuple]:
     plans = []
     for level in range(d + 1):
         fixed_mask = [rank[j] < level for j in range(d)]
-        first = [(r, [j for j in cols if not fixed_mask[j]])
-                 for r, cols in enumerate(support) if settled[r] >= level]
-        second = [(r, free) for r, free in first if settled[r] > level]
-        plans.append(((first, second), _row_pairs(cons.coeffs, fixed_mask),
+        rows = [(r, [j for j in cols if not fixed_mask[j]])
+                for r, cols in enumerate(support)
+                if settled[r] > level or (not cols and level == 0)]
+        plans.append((rows, _row_pairs(cons.coeffs, fixed_mask),
                       np.flatnonzero(fixed_mask)))
     return plans
 
@@ -187,9 +203,9 @@ def _sweep_numpy(a, lo, hi, LO, HI, plan):
     solves row pairs with a shared two-variable support exactly; without the
     pair step, rotation-like 2x2 blocks never contract (interval dependency).
     """
-    passes, pairs, fixed_cols = plan
+    rows, pairs, fixed_cols = plan
     alive = np.ones(LO.shape[0], dtype=bool)
-    for rows in passes:
+    for _ in range(2):
         for r, free in rows:
             arow = a[r]
             term_lo = np.minimum(arow * LO, arow * HI)

@@ -24,7 +24,7 @@ from .errors import DimensionMismatchError, DomainError, FormatError
 from .ratmath import (Vec, _scale_to_ints, _times, inf_norm, rat, vec, vec_add,
                       vec_sub)
 from .textio import (RATIONAL_RE, format_rational, parse_int, parse_ratio,
-                     parse_rational, split_lines)
+                     parse_rational, read_text, split_lines, write_text)
 
 _Keys = list[tuple[int, ...]]
 
@@ -452,16 +452,8 @@ def loads_qps(text: str) -> PointSet:
 
 
 def write_qps(path_or_stream, s: PointSet) -> None:
-    text = dumps_qps(s)
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)
-    else:
-        with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_text(path_or_stream, dumps_qps(s))
 
 
 def read_qps(path_or_stream) -> PointSet:
-    if hasattr(path_or_stream, "read"):
-        return loads_qps(path_or_stream.read())
-    with open(path_or_stream, "r", encoding="utf-8", newline="") as fh:
-        return loads_qps(fh.read())
+    return loads_qps(read_text(path_or_stream))

@@ -66,3 +66,20 @@ def split_lines(text: str, what: str) -> list[str]:
         if line != line.strip() or "  " in line:
             raise FormatError(f"{what}: non-canonical whitespace on line {i + 1}")
     return lines
+
+
+def write_text(path_or_stream, text: str) -> None:
+    """Write text to an open text stream, or to a file as UTF-8 with LF."""
+    if hasattr(path_or_stream, "write"):
+        path_or_stream.write(text)
+    else:
+        with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def read_text(path_or_stream) -> str:
+    """Read an open text stream, or a UTF-8 file with line endings kept."""
+    if hasattr(path_or_stream, "read"):
+        return path_or_stream.read()
+    with open(path_or_stream, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()

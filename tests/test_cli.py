@@ -238,6 +238,17 @@ class TestExitCodes:
         assert main(["gen", "zn", "--dim", "2", "--radius", "40",
                      "--out", str(tmp_path / "z.qps")]) == 3
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "QUASIGRID_BUDGET is not an integer: 'abc'"),
+        ("0", "QUASIGRID_BUDGET must be positive"),
+    ])
+    def test_malformed_budget_exits_two(self, tmp_path, monkeypatch, capsys,
+                                        raw, message):
+        monkeypatch.setenv("QUASIGRID_BUDGET", raw)
+        assert main(["gen", "zn", "--dim", "2", "--radius", "3",
+                     "--out", str(tmp_path / "z.qps")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_iterate_over_budget_exits_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QUASIGRID_BUDGET", "50")
         assert main(["iterate", "--seed", "42", "--k", "2", "--radius", "20",

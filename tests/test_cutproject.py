@@ -73,9 +73,10 @@ class TestEnumerate:
                     for x in range(-2, 3) for y in range(-2, 3)}
         assert set(patch.patch.points) == expected
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setenv("QUASIGRID_BUDGET", "100")
         with pytest.raises(BudgetError):
-            enumerate_model_set(zn_scheme(2), (0, 0), 1000, budget=100)
+            enumerate_model_set(zn_scheme(2), (0, 0), 1000)
 
 
 class TestTranslationSet:

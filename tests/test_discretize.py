@@ -32,7 +32,7 @@ from quasigrid.discretize import (
 from quasigrid.errors import BudgetError, DomainError, FormatError
 from quasigrid.latticeenum import _fits_int64
 from quasigrid.pointset import PointSet
-from quasigrid.ratmath import HALF, RMatrix, invert_matrix
+from quasigrid.ratmath import HALF, RMatrix, invert_matrix, round_vector
 from quasigrid.rng import RngState
 
 
@@ -156,6 +156,23 @@ class TestApplyHat:
         with pytest.raises(ValueError):
             apply_hat(RMatrix.identity(1), s)
 
+    def test_past_int64_matches_pointwise(self):
+        # coordinates near 2**70 put the images past int64, so the kernel
+        # runs on object arrays; denominators 2 and 4 give exact ties
+        a = RMatrix.from_rows([[Fraction(3, 2), Fraction(-1, 3)],
+                               [Fraction(2, 7), Fraction(5, 4)]])
+        big = 1 << 70
+        pts = [(big + i, 3 * j - big) for i in range(-4, 5) for j in range(-4, 5)]
+        s = PointSet.build(2, pts + [(0, 0), (1, -1)], (0, 0), 2 * big)
+        out = apply_hat(a, s)
+        assert list(out.points) == sorted({round_vector(a.apply(p))
+                                           for p in s.points})
+        assert not out.complete
+        # an entry past int64 on a set of only the origin
+        huge = RMatrix.from_rows([[1 << 70, 1], [0, Fraction(1, 3)]])
+        origin = PointSet.build(2, [(0, 0)], (0, 0), 1)
+        assert apply_hat(huge, origin).points == ((Fraction(0), Fraction(0)),)
+
     def test_incomplete_output_refused_by_analysis(self):
         from quasigrid.analysis import uniform_density
 
@@ -238,9 +255,9 @@ class TestApplyChain:
             mats = tuple(_random_invertible(rng, 2, 6) for _ in range(2 + i % 2))
             chain = MapChain(2, mats)
             for r_out in (15, Fraction(29, 4)):
-                base = apply_chain(chain, r_out)
-                wide = apply_chain(chain, r_out, input_scale=2)
-                assert base.points == wide.points
+                got = apply_chain(chain, r_out)
+                assert list(got.points) == direct_round_image(mats, r_out,
+                                                              margin=2)
 
     def test_random_chains_match_model_sets(self):
         # the central cross-validation: both pipelines, exact set equality
@@ -252,18 +269,21 @@ class TestApplyChain:
             mats = tuple(_random_invertible(rng, 2, 8) for _ in range(k))
             assert chain_model_witness(MapChain(2, mats), 50) is None, i
 
-    def test_budget_errors_name_the_grid_and_limit(self):
+    def test_budget_errors_name_the_grid_and_limit(self, monkeypatch):
         plane = MapChain(2, (RMatrix.identity(2),))
         # 21 columns of 21 points each at r_out = 10
+        monkeypatch.setenv("QUASIGRID_BUDGET", "5")
         with pytest.raises(BudgetError, match="21 columns, more than 5 "):
-            apply_chain(plane, 10, budget=5)
+            apply_chain(plane, 10)
+        monkeypatch.setenv("QUASIGRID_BUDGET", "100")
         with pytest.raises(BudgetError, match="441 points, more than 100 "):
-            apply_chain(plane, 10, budget=100)
-        assert len(apply_chain(plane, 10, budget=441)) == 19 * 19
+            apply_chain(plane, 10)
         space = MapChain(3, (RMatrix.identity(3),))
         with pytest.raises(BudgetError, match="343 points, more than 100 "
                            r"\(raise QUASIGRID_BUDGET to override\)"):
-            apply_chain(space, 3, budget=100)
+            apply_chain(space, 3)
+        monkeypatch.setenv("QUASIGRID_BUDGET", "441")
+        assert len(apply_chain(plane, 10)) == 19 * 19
 
     @pytest.mark.parametrize("k", [6, 8])
     def test_long_random_chains_match_model_sets(self, k):
@@ -279,9 +299,17 @@ class TestInputPolygon:
     """The integer-vertex input polygon against the Fraction reference."""
 
     @staticmethod
-    def assert_matches(chain, r_out, scale=1):
+    def scaled_region(chain, r_out, scale):
+        # the input polygon scaled about the origin, on integer vertices
+        # over one denominator, so the column walk also sees scaled polygons
+        den, verts = _input_region(chain, Fraction(r_out))
+        s, t = Fraction(scale).as_integer_ratio()
+        return den * t, [(x * s, y * s) for x, y in verts]
+
+    @classmethod
+    def assert_matches(cls, chain, r_out, scale=1):
         r_out, scale = Fraction(r_out), Fraction(scale)
-        region = _input_region(chain, r_out, scale)
+        region = cls.scaled_region(chain, r_out, scale)
         expected = ref_input_polygon(chain, r_out, scale)
         den, verts = region
         assert [(Fraction(x, den), Fraction(y, den)) for x, y in verts] == expected
@@ -328,7 +356,7 @@ class TestInputPolygon:
                 for scale in (1, Fraction(3, 2)):
                     self.assert_matches(MapChain(2, mats), r_out, scale)
         den, verts = _input_region(MapChain(2, (RMatrix.identity(2),)),
-                                   Fraction(10239, 4096), Fraction(1))
+                                   Fraction(10239, 4096))
         assert sorted({Fraction(x, den) for x, _ in verts}) == [-3, 3]
 
     def test_snap_tie_goes_to_even(self):
@@ -338,11 +366,11 @@ class TestInputPolygon:
         # region by 2732 puts the two choices on either side of x = 1367
         chain = MapChain(2, (diag(1, 8192),))
         r_out = Fraction(1, 1 << 14)
-        den, verts = _input_region(chain, r_out, Fraction(1))
+        den, verts = _input_region(chain, r_out)
         assert (den, max(x for x, _ in verts)) == (8192, 4096 + 2)
         self.assert_matches(chain, r_out)
         self.assert_matches(chain, r_out, 2732)
-        grid = _region_int_points(_input_region(chain, r_out, Fraction(2732)),
+        grid = _region_int_points(self.scaled_region(chain, r_out, 2732),
                                   2, 10**7)
         assert grid[:, 0].max() == 1366
 
@@ -457,8 +485,9 @@ class TestWitness:
         bad_box = IntervalBox.closed([-half, -half], [half, half])
         bad = CutProjectScheme(good.m, good.n, good.basis,
                                Window(good.m, (bad_box,)))
-        assert chain_model_witness(chain, 10, scheme=good) is None
-        witness = chain_model_witness(chain, 10, scheme=bad)
-        assert witness is not None
+        direct = apply_chain(chain, 10)
+        assert chain_model_witness(chain, 10) is None
+        modeled = enumerate_model_set(bad, (0, 0), 10).patch
+        witness = min(set(direct.points) ^ set(modeled.points))
         # the witness is a tie artifact: its first coordinate is 2 mod 3
         assert witness[0] % 3 == 2

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import frac_entry
 from quasigrid.cutproject import _scaled_constraints, iterated_scheme
-from quasigrid.discretize import _hat_int_array, hat_point
+from quasigrid.discretize import _hat_int_array
 from quasigrid.errors import BudgetError
 from quasigrid.latticeenum import (
     IntConstraints,
@@ -18,7 +18,7 @@ from quasigrid.latticeenum import (
     _choose_order,
     solve_integer_box,
 )
-from quasigrid.ratmath import RMatrix
+from quasigrid.ratmath import RMatrix, round_vector
 from quasigrid.rng import RngState
 
 
@@ -205,7 +205,7 @@ def test_hat_array_bigint_fallback_matches_pointwise():
     )
     images = _hat_int_array(a, pts)
     expected = sorted(
-        {tuple(int(c) for c in hat_point(a, tuple(map(Fraction, map(int, p)))))
+        {tuple(int(c) for c in round_vector(a.apply(tuple(map(int, p)))))
          for p in pts}
     )
     assert [tuple(int(x) for x in row) for row in images.tolist()] == expected
@@ -222,13 +222,18 @@ def test_hat_array_dedupe_matches_unique(n):
         size = (0, 1, 2 + rng.randrange(120))[trial % 3]
         pts = np.array([[rng.randrange(41) - 20 for _ in range(n)]
                         for _ in range(size)], dtype=np.int64).reshape(size, n)
-        images = [[int(c) for c in hat_point(a, tuple(map(Fraction, p)))]
+        images = [[int(c) for c in round_vector(a.apply(p))]
                   for p in pts.tolist()]
         expected = np.unique(np.array(images, dtype=np.int64).reshape(size, n),
                              axis=0)
         got = _hat_int_array(a, pts)
         assert got.dtype == np.int64 and got.shape == expected.shape
         assert np.array_equal(got, expected), (n, trial)
+        if size:
+            # small values on an object array take the int64 route as well:
+            # the dtype follows the bound, not the input
+            boxed = _hat_int_array(a, pts.astype(object))
+            assert boxed.dtype == np.int64 and np.array_equal(boxed, expected)
 
 
 def test_empty_ranges_short_circuit():
