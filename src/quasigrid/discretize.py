@@ -116,13 +116,15 @@ def _mink_cube_2d(hull, r):
 
 
 def _map_region_2d(inv: RMatrix, den: int, hull):
-    """Image of an integer polygon over den under a rational matrix.
+    """Image of a convex integer polygon over den under a rational matrix.
 
     The matrix acts through its integer numerators q * inv, so the image has
-    integer vertices over den * q.
+    integer vertices over den * q.  Returns the mapped vertex list, not its
+    hull: a linear image of a convex polygon is in convex position already
+    (clockwise when det < 0), and _simplify_2d takes the hull anyway.
     """
     q, ((a, b), (c, d)) = inv._int_form
-    return den * q, _hull_2d([(a * x + b * y, c * x + d * y) for x, y in hull])
+    return den * q, [(a * x + b * y, c * x + d * y) for x, y in hull]
 
 
 _SNAP = 1 << 13  # simplified vertices lie on the grid of step 1/_SNAP

@@ -7,10 +7,19 @@ denominator and fold strict faces into the integer bounds beforehand).
 The solver fixes variables one at a time, narrowing the ranges of the
 remaining ones by exact interval propagation over the rows after each fix.
 That keeps sheared systems (lattice bases far from diagonal) enumerable
-without walking the full product of the global ranges.  There is one
-solver, vectorized over batches of prefixes: it runs on int64 arrays when a
-precomputed worst-case bound shows no intermediate value can overflow, and
-on object arrays of Python ints otherwise.
+without walking the full product of the global ranges.
+
+The solver walks batches of prefixes (ranges with the first variables
+fixed), and the width of each batch picks one of two propagation sweeps
+with the same results.  When a precomputed worst-case bound shows no
+intermediate value can overflow int64, a batch of more than _NARROW
+prefixes is swept on int64 arrays, vectorized over the batch
+(_sweep_numpy).  A narrower batch, and every batch of a system past that
+bound, is swept one prefix at a time on lists of Python ints
+(_sweep_prefix): on a few prefixes numpy's per-call cost, some twenty
+calls per row and pass, outweighs the arithmetic, and Python ints cannot
+overflow.  Most batches of the chain systems, and every first level, hold
+one to sixteen prefixes; large patches give batches of hundreds.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .errors import BudgetError, FormatError
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 19  # max prefixes materialized per batch
 _INT64_SAFE = 1 << 61
+_NARROW = 16  # widest batch swept prefix by prefix on an int64 system
 
 
 @dataclass
@@ -170,133 +180,238 @@ def _interval_div(num_lo, num_hi, det):
     return -((-num_hi) // det), num_lo // det
 
 
+def _cramer(br, bs, ru, rv, su, sv, det):
+    """Bounds on u and v from ru*u + rv*v in br and su*u + sv*v in bs.
+
+    Cramer: u = (sv*b_r - rv*b_s)/det and v = (ru*b_s - su*b_r)/det.  The
+    intervals may hold Python ints or int64 arrays.
+    """
+    t1, t2 = _interval_scale(sv, *br), _interval_scale(-rv, *bs)
+    u = _interval_div(t1[0] + t2[0], t1[1] + t2[1], det)
+    t1, t2 = _interval_scale(ru, *bs), _interval_scale(-su, *br)
+    v = _interval_div(t1[0] + t2[0], t1[1] + t2[1], det)
+    return u, v
+
+
 def _level_plans(cons: IntConstraints, order) -> list[tuple]:
     """Per level L (the variables order[:L] fixed), what its sweep visits.
 
-    Returns, for L = 0..d, (rows, pairs, fixed columns): rows holds the
-    rows both passes check, each with its unfixed variables.  A row whose
-    variables all lie in order[:L] is left out: one level up it had at most
-    one unfixed variable, which the sweep narrowed to exactly the values
-    that satisfy it, and fixed columns never change.  A row with no
-    variables is checked once, at level 0.
+    Returns, for L = 0..d, (rows, pairs, fixed columns), in Python ints
+    apart from the fixed columns' index array.  rows holds the rows both
+    passes check, each as (r, lo_r, hi_r, terms, free): terms are its
+    nonzero (column, coefficient) pairs and free those of its unfixed
+    variables.  A row whose variables all lie in order[:L] is left out: one
+    level up it had at most one unfixed variable, which the sweep narrowed
+    to exactly the values that satisfy it, and fixed columns never change.
+    A row with no variables is checked once, at level 0.  pairs holds each
+    pair of rows r, s whose unfixed support is the same two variables u, v,
+    as (r, s, lo_r, hi_r, lo_s, hi_s, fixed, u, v, a_ru, a_rv, a_su, a_sv,
+    det), fixed being the (column, a_r, a_s) of the fixed columns either
+    row uses.
     """
     d = cons.dim
+    coeffs, lo, hi = cons.coeffs, cons.lo, cons.hi
     rank = {var: i for i, var in enumerate(order)}
-    support = [[j for j, a in enumerate(row) if a] for row in cons.coeffs]
+    terms = [[(j, a) for j, a in enumerate(row) if a] for row in coeffs]
     # the level from which each row's variables are all fixed
-    settled = [max((rank[j] + 1 for j in cols), default=0) for cols in support]
+    settled = [max((rank[j] + 1 for j, _ in t), default=0) for t in terms]
     plans = []
     for level in range(d + 1):
         fixed_mask = [rank[j] < level for j in range(d)]
-        rows = [(r, [j for j in cols if not fixed_mask[j]])
-                for r, cols in enumerate(support)
-                if settled[r] > level or (not cols and level == 0)]
-        plans.append((rows, _row_pairs(cons.coeffs, fixed_mask),
-                      np.flatnonzero(fixed_mask)))
+        fixed_cols = [j for j in range(d) if fixed_mask[j]]
+        rows = [(r, lo[r], hi[r], t,
+                 [(j, a) for j, a in t if not fixed_mask[j]])
+                for r, t in enumerate(terms)
+                if settled[r] > level or (not t and level == 0)]
+        pairs = []
+        for r, s, u, v, det in _row_pairs(coeffs, fixed_mask):
+            ar, as_ = coeffs[r], coeffs[s]
+            fixed = [(j, ar[j], as_[j]) for j in fixed_cols if ar[j] or as_[j]]
+            pairs.append((r, s, lo[r], hi[r], lo[s], hi[s], fixed,
+                          u, v, ar[u], ar[v], as_[u], as_[v], det))
+        plans.append((rows, pairs, np.array(fixed_cols, dtype=np.intp)))
     return plans
 
 
-def _sweep_numpy(a, lo, hi, LO, HI, plan):
-    """Two propagation passes; returns (LO, HI, alive mask).
+def _sweep_numpy(a, LO, HI, plan):
+    """Two propagation passes over a batch; returns (LO, HI, alive mask).
 
     Each pass narrows every unfixed variable against the plan's rows, then
     solves row pairs with a shared two-variable support exactly; without the
     pair step, rotation-like 2x2 blocks never contract (interval dependency).
+    Vectorized over the batch; the solver runs it on int64 arrays.
     """
     rows, pairs, fixed_cols = plan
     alive = np.ones(LO.shape[0], dtype=bool)
     for _ in range(2):
-        for r, free in rows:
+        for r, lo, hi, _terms, free in rows:
             arow = a[r]
             term_lo = np.minimum(arow * LO, arow * HI)
             term_hi = np.maximum(arow * LO, arow * HI)
             tot_lo = term_lo.sum(axis=1)
             tot_hi = term_hi.sum(axis=1)
-            alive &= (tot_lo <= hi[r]) & (tot_hi >= lo[r])
-            for j in free:
-                other_lo = tot_lo - term_lo[:, j]
-                other_hi = tot_hi - term_hi[:, j]
-                num_lo = lo[r] - other_hi
-                num_hi = hi[r] - other_lo
-                new_lo, new_hi = _interval_div(num_lo, num_hi, int(arow[j]))
-                np.maximum(LO[:, j], new_lo, out=LO[:, j])
-                np.minimum(HI[:, j], new_hi, out=HI[:, j])
-                alive &= LO[:, j] <= HI[:, j]
-                # keep dead rows self-consistent so later passes stay valid
-                np.minimum(LO[:, j], HI[:, j], out=LO[:, j])
-        for r, s, u, v, det in pairs:
+            alive &= (tot_lo <= hi) & (tot_hi >= lo)
+            for j, c in free:
+                bounds = _interval_div(lo - (tot_hi - term_hi[:, j]),
+                                       hi - (tot_lo - term_lo[:, j]), c)
+                _narrow_columns(LO, HI, j, bounds, alive)
+        for (r, s, lo_r, hi_r, lo_s, hi_s, _fixed,
+             u, v, ru, rv, su, sv, det) in pairs:
             if fixed_cols.size:
                 fr = (a[r, fixed_cols] * LO[:, fixed_cols]).sum(axis=1)
                 fs = (a[s, fixed_cols] * LO[:, fixed_cols]).sum(axis=1)
             else:
-                fr = fs = np.zeros(LO.shape[0], dtype=LO.dtype)
-            ir = (lo[r] - fr, hi[r] - fr)
-            is_ = (lo[s] - fs, hi[s] - fs)
-            # Cramer: u = (a_sv*b_r - a_rv*b_s)/det, v symmetric
-            for var, t1, t2 in (
-                (u, _interval_scale(int(a[s, v]), *ir),
-                 _interval_scale(-int(a[r, v]), *is_)),
-                (v, _interval_scale(int(a[r, u]), *is_),
-                 _interval_scale(-int(a[s, u]), *ir)),
-            ):
-                new_lo, new_hi = _interval_div(t1[0] + t2[0], t1[1] + t2[1],
-                                               det)
-                np.maximum(LO[:, var], new_lo, out=LO[:, var])
-                np.minimum(HI[:, var], new_hi, out=HI[:, var])
-                alive &= LO[:, var] <= HI[:, var]
-                np.minimum(LO[:, var], HI[:, var], out=LO[:, var])
+                fr = fs = 0
+            bu, bv = _cramer((lo_r - fr, hi_r - fr), (lo_s - fs, hi_s - fs),
+                             ru, rv, su, sv, det)
+            _narrow_columns(LO, HI, u, bu, alive)
+            _narrow_columns(LO, HI, v, bv, alive)
     return LO, HI, alive
 
 
+def _narrow_columns(LO, HI, j, bounds, alive):
+    """Intersect column j's ranges with bounds; rows it empties die."""
+    np.maximum(LO[:, j], bounds[0], out=LO[:, j])
+    np.minimum(HI[:, j], bounds[1], out=HI[:, j])
+    alive &= LO[:, j] <= HI[:, j]
+    # keep dead rows self-consistent so later passes stay valid
+    np.minimum(LO[:, j], HI[:, j], out=LO[:, j])
+
+
+def _sweep_prefix(L, H, plan) -> bool:
+    """_sweep_numpy's two passes on one prefix, in place on lists of ints.
+
+    The same rows in the same order, each free variable narrowed from the
+    row's totals before that row's updates, and the same Cramer bounds for
+    pairs, so a prefix that survives ends with the ranges _sweep_numpy
+    gives it.  Returns False as soon as the prefix is dead.
+    """
+    rows, pairs, _ = plan
+    for _ in range(2):
+        for _r, lo, hi, terms, free in rows:
+            tot_lo = tot_hi = 0
+            for j, c in terms:
+                if c > 0:
+                    tot_lo += c * L[j]
+                    tot_hi += c * H[j]
+                else:
+                    tot_lo += c * H[j]
+                    tot_hi += c * L[j]
+            if tot_lo > hi or tot_hi < lo:
+                return False
+            for j, c in free:
+                # ceil and floor of (bound - the other terms) / c
+                if c > 0:
+                    new_lo = -((tot_hi - c * H[j] - lo) // c)
+                    new_hi = (hi - tot_lo + c * L[j]) // c
+                else:
+                    new_lo = -((tot_lo - c * H[j] - hi) // c)
+                    new_hi = (lo - tot_hi + c * L[j]) // c
+                if new_lo > L[j]:
+                    L[j] = new_lo
+                if new_hi < H[j]:
+                    H[j] = new_hi
+                if L[j] > H[j]:
+                    return False
+        for (_r, _s, lo_r, hi_r, lo_s, hi_s, fixed,
+             u, v, ru, rv, su, sv, det) in pairs:
+            fr = fs = 0
+            for j, cr, cs in fixed:
+                fr += cr * L[j]
+                fs += cs * L[j]
+            for var, (new_lo, new_hi) in zip(
+                    (u, v), _cramer((lo_r - fr, hi_r - fr),
+                                    (lo_s - fs, hi_s - fs),
+                                    ru, rv, su, sv, det)):
+                if new_lo > L[var]:
+                    L[var] = new_lo
+                if new_hi < H[var]:
+                    H[var] = new_hi
+                if L[var] > H[var]:
+                    return False
+    return True
+
+
+def _as_lists(batch):
+    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+
+
+def _expand_arrays(LO, HI, var, total):
+    """Each prefix once per value of var, in order, on int64 arrays."""
+    counts = HI[:, var] - LO[:, var] + 1
+    index = np.repeat(np.arange(LO.shape[0]), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    values = LO[index, var] + (np.arange(total) - starts[index])
+    LO, HI = LO[index], HI[index]
+    LO[:, var] = values
+    HI[:, var] = values
+    return LO, HI
+
+
+def _expand_lists(LO, HI, var):
+    """Each prefix once per value of var, in order, on lists of ints."""
+    out_lo, out_hi = [], []
+    for L, H in zip(LO, HI):
+        for x in range(L[var], H[var] + 1):
+            L2, H2 = L.copy(), H.copy()
+            L2[var] = H2[var] = x
+            out_lo.append(L2)
+            out_hi.append(H2)
+    return out_lo, out_hi
+
+
 def _solve_numpy(cons: IntConstraints, order, meter,
-                 dtype=np.int64) -> list[tuple[int, ...]]:
+                 int64=True) -> list[tuple[int, ...]]:
+    """Depth-first over batches of prefixes (ranges with order[:L] fixed).
+
+    With int64, a batch of more than _NARROW prefixes is swept on int64
+    arrays, and a narrower one prefix by prefix on Python ints; without,
+    every batch is swept prefix by prefix.  Each batch is expanded straight
+    into the form its children's count calls for.
+    """
     d = cons.dim
-    a = np.array(cons.coeffs, dtype=dtype)
-    lo = np.array(cons.lo, dtype=dtype)
-    hi = np.array(cons.hi, dtype=dtype)
-    LO0 = np.array([cons.var_lo], dtype=dtype)
-    HI0 = np.array([cons.var_hi], dtype=dtype)
+    a = np.array(cons.coeffs, dtype=np.int64) if int64 else None
     plans = _level_plans(cons, order)
     out: list[tuple[int, ...]] = []
-    stack = [(0, LO0, HI0)]
+    stack = [(0, [list(cons.var_lo)], [list(cons.var_hi)])]
     while stack:
         level, LO, HI = stack.pop()
-        LO, HI, alive = _sweep_numpy(a, lo, hi, LO, HI, plans[level])
-        LO, HI = LO[alive], HI[alive]
-        if LO.shape[0] == 0:
+        if int64 and len(LO) > _NARROW:
+            LO, HI, alive = _sweep_numpy(a, np.asarray(LO, dtype=np.int64),
+                                         np.asarray(HI, dtype=np.int64),
+                                         plans[level])
+            LO, HI = LO[alive], HI[alive]
+        else:
+            LO, HI = _as_lists(LO), _as_lists(HI)
+            live = [k for k in range(len(LO))
+                    if _sweep_prefix(LO[k], HI[k], plans[level])]
+            LO, HI = [LO[k] for k in live], [HI[k] for k in live]
+        if not len(LO):
             continue
         if level == d:
-            out.extend(map(tuple, LO.tolist()))
+            out.extend(map(tuple, _as_lists(LO)))
             continue
         var = order[level]
-        counts = HI[:, var] - LO[:, var] + 1
-        # the max test is exact on both dtypes and keeps the float sum below
-        # from overflowing on Python ints; past either test the exact total
-        # is over budget, and summed on Python ints so int64 cannot wrap
-        if (counts.max() > meter.budget
-                or float(counts.sum(dtype=np.float64)) > 4 * meter.budget):
-            total = sum(counts.tolist())
+        # summed on Python ints, so int64 cannot wrap
+        if isinstance(LO, list):
+            total = sum(H[var] - L[var] + 1 for L, H in zip(LO, HI))
         else:
-            total = int(counts.sum())
+            total = sum((HI[:, var] - LO[:, var] + 1).tolist())
         meter.charge(total)
-        if total == 0:
-            continue
-        counts = counts.astype(np.int64)  # np.repeat refuses object counts
-        index = np.repeat(np.arange(LO.shape[0]), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        values = LO[index, var] + (np.arange(total) - starts[index])
-        LO, HI = LO[index], HI[index]
-        LO[:, var] = values
-        HI[:, var] = values
+        if int64 and total > _NARROW:
+            LO, HI = _expand_arrays(np.asarray(LO, dtype=np.int64),
+                                    np.asarray(HI, dtype=np.int64), var, total)
+        else:
+            LO, HI = _expand_lists(_as_lists(LO), _as_lists(HI), var)
         for begin in range(0, total, _CHUNK):
-            end = min(begin + _CHUNK, total)
-            stack.append((level + 1, LO[begin:end].copy(), HI[begin:end].copy()))
+            stack.append((level + 1, LO[begin:begin + _CHUNK],
+                          HI[begin:begin + _CHUNK]))
     return out
 
 
 def _solve_python(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
-    """Solve on object arrays of Python ints, which cannot overflow.
+    """Solve on Python ints alone, which cannot overflow.
 
     An entry of its own so that big-int solves can be counted by wrapping it.
     """
-    return _solve_numpy(cons, order, meter, object)
+    return _solve_numpy(cons, order, meter, int64=False)

@@ -135,6 +135,60 @@ def direct_round_image(mats, r_out, margin=4):
     return sorted(p for p in pts if all(abs(c) < r_out for c in p))
 
 
+def fraction_inverse(rows):
+    """Gauss-Jordan inverse of an invertible square matrix, in Fractions."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def backward_round_image(mats, r_out):
+    """Chain image of Z^n by direct rounding, searched back from B(0, r_out).
+
+    y is in the image of x -> round(A_k ... round(A_1 x)) when a depth-first
+    search finds an integer z with round(A_k z) = y, then an integer z' with
+    round(A_{k-1} z') = z, and so on down to Z^n.  The candidates for z are
+    the integer points of the bounding box of the closed preimage of y's
+    rounding cell, and z is kept when y_i - 1/2 < (A_k z)_i <= y_i + 1/2 for
+    every i, in Fractions.
+    """
+    r_out = Fraction(r_out)
+    n = mats[0].rows
+    stages = [(a.entries, fraction_inverse(a.entries)) for a in mats]
+    half = Fraction(1, 2)
+
+    def preimages(rows, inv, y):
+        spans = []
+        for inv_row in inv:
+            ends = [(c * (t - half), c * (t + half)) for c, t in zip(inv_row, y)]
+            spans.append(range(math.ceil(sum(map(min, ends))),
+                               math.floor(sum(map(max, ends))) + 1))
+        for z in product(*spans):
+            image = [sum(a * x for a, x in zip(row, z)) for row in rows]
+            if all(t - half < v <= t + half for v, t in zip(image, y)):
+                yield z
+
+    def reachable(y, depth):
+        if depth == 0:
+            return True
+        rows, inv = stages[depth - 1]
+        return any(reachable(z, depth - 1) for z in preimages(rows, inv, y))
+
+    m = math.ceil(r_out) - 1  # the largest integer below r_out
+    return [tuple(Fraction(c) for c in y)
+            for y in product(range(-m, m + 1), repeat=n)
+            if reachable(y, len(mats))]
+
+
 def leibniz_determinant(rows):
     """det A = sum over permutations s of sign(s) * prod_i a[i][s(i)],
     with sign(s) = (-1)^(number of inversions of s)."""

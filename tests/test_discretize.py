@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    backward_round_image,
     cos_sin_turn_reference,
     direct_round_image,
     exp_reference,
@@ -256,8 +257,7 @@ class TestApplyChain:
             chain = MapChain(2, mats)
             for r_out in (15, Fraction(29, 4)):
                 got = apply_chain(chain, r_out)
-                assert list(got.points) == direct_round_image(mats, r_out,
-                                                              margin=2)
+                assert list(got.points) == backward_round_image(mats, r_out)
 
     def test_random_chains_match_model_sets(self):
         # the central cross-validation: both pipelines, exact set equality

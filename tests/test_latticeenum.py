@@ -9,11 +9,15 @@ from oracles import frac_entry
 from quasigrid.cutproject import _scaled_constraints, iterated_scheme
 from quasigrid.discretize import _hat_int_array
 from quasigrid.errors import BudgetError
+import quasigrid.latticeenum as latticeenum
 from quasigrid.latticeenum import (
     IntConstraints,
     _fits_int64,
+    _level_plans,
     _solve_numpy,
     _solve_python,
+    _sweep_numpy,
+    _sweep_prefix,
     _BudgetMeter,
     _choose_order,
     solve_integer_box,
@@ -89,15 +93,19 @@ def chain_systems(seed, count):
             yield cons
 
 
+def with_zero_row(cons, zero_lo):
+    """cons plus a row with no variables, which holds iff zero_lo <= 0."""
+    return IntConstraints(cons.coeffs + [(0,) * cons.dim], cons.lo + [zero_lo],
+                          cons.hi + [1], cons.var_lo, cons.var_hi)
+
+
 def test_chain_systems_match_brute_force():
     # the rows' variables get fixed over several levels, so the sweep skips
     # and shortens rows whose variables are all fixed; a zero row has none,
     # and holds or fails from level 0 on
     for cons in chain_systems(92, 30):
         for zero_lo in (None, 0, 1):
-            system = cons if zero_lo is None else IntConstraints(
-                cons.coeffs + [(0,) * cons.dim], cons.lo + [zero_lo],
-                cons.hi + [1], cons.var_lo, cons.var_hi)
+            system = cons if zero_lo is None else with_zero_row(cons, zero_lo)
             expected = brute_solutions(system)
             assert bool(expected) != (zero_lo == 1)
             order = _choose_order(system)
@@ -115,13 +123,16 @@ def test_chain_systems_match_brute_force():
       [[Fraction(5, 4), 0], [Fraction(-1, 3), 1]]),
      Fraction(5, 2), 80, 18),
 ], ids=["n1_k3", "n2_k2_shears", "n2_k3_zero_entries"])
-def test_chain_system_visits(maps, radius, visited, solutions):
+def test_chain_system_visits(maps, radius, visited, solutions, monkeypatch):
     cons = chain_system([RMatrix.from_rows(m) for m in maps], radius)
     order = _choose_order(cons)
-    for solve in (_solve_numpy, _solve_python):
-        meter = _BudgetMeter(10**8)
-        assert len(solve(cons, order, meter)) == solutions
-        assert meter.visited == visited
+    # every batch on arrays, the default split, every batch prefix by prefix
+    for narrow in (0, latticeenum._NARROW, 10**9):
+        monkeypatch.setattr(latticeenum, "_NARROW", narrow)
+        for solve in (_solve_numpy, _solve_python):
+            meter = _BudgetMeter(10**8)
+            assert len(solve(cons, order, meter)) == solutions
+            assert meter.visited == visited
 
 
 def scaled_systems(seed, count=10):
@@ -150,6 +161,81 @@ def test_scaled_up_system_takes_bigint_path():
         assert not _fits_int64(big)
         assert (sorted(solve_integer_box(big, 10**8))
                 == sorted(solve_integer_box(cons, 10**8)))
+
+
+def sweep_systems():
+    """Random systems (negative coefficients), chain systems (open window
+    faces folded into integer bounds), big-int copies, rotation-like 2x2
+    pairs with and without a third variable, and all-zero rows that hold
+    and that fail."""
+    rng = RngState(94)
+    systems = [random_system(rng) for _ in range(20)]
+    systems += list(chain_systems(95, 10))
+    systems += [big for _, big in scaled_systems(96, 6)]
+    # 5 times a rotation: the rows alone never contract the pair
+    systems.append(IntConstraints([(3, -4), (4, 3)], [-7, -6], [6, 8],
+                                  [-9, -9], [9, 9]))
+    systems.append(IntConstraints([(3, -4, 2), (4, 3, -1), (0, 0, 1)],
+                                  [-7, -6, -2], [6, 8, 3],
+                                  [-9, -9, -5], [9, 9, 5]))
+    systems += [with_zero_row(systems[0], lo) for lo in (0, 1)]
+    return systems
+
+
+def random_batch(rng, cons, fixed, width):
+    """width prefixes: the fixed variables at one value each, the others
+    on random subranges of their global ranges."""
+    LO, HI = [], []
+    for _ in range(width):
+        L, H = [], []
+        for j, (lo, hi) in enumerate(zip(cons.var_lo, cons.var_hi)):
+            x, y = (lo + rng.randrange(hi - lo + 1) for _ in range(2))
+            if j in fixed:
+                y = x
+            L.append(min(x, y))
+            H.append(max(x, y))
+        LO.append(L)
+        HI.append(H)
+    return LO, HI
+
+
+def test_prefix_sweep_matches_batch_sweep():
+    # the batch sweep is the reference, on object arrays for big-int systems
+    rng = RngState(97)
+    seen = {"alive": 0, "dead": 0, "pairs": 0, "fixed pairs": 0}
+    for cons in sweep_systems():
+        dtype = np.int64 if _fits_int64(cons) else object
+        a = np.array(cons.coeffs, dtype=dtype)
+        order = _choose_order(cons)
+        for level, plan in enumerate(_level_plans(cons, order)):
+            seen["pairs"] += len(plan[1])
+            seen["fixed pairs"] += sum(bool(p[6]) for p in plan[1])
+            LO, HI = random_batch(rng, cons, set(order[:level]), 12)
+            ref_lo, ref_hi, alive = _sweep_numpy(
+                a, np.array(LO, dtype=dtype), np.array(HI, dtype=dtype), plan)
+            for k, (L, H) in enumerate(zip(LO, HI)):
+                assert _sweep_prefix(L, H, plan) == alive[k]
+                if alive[k]:
+                    assert (L, H) == (ref_lo[k].tolist(), ref_hi[k].tolist())
+            seen["alive"] += int(alive.sum())
+            seen["dead"] += int((~alive).sum())
+    assert min(seen.values()) > 0, seen
+
+
+def test_narrow_width_keeps_solutions_and_visits(monkeypatch):
+    # every batch on arrays (0) or every batch prefix by prefix (10**9)
+    # must give the default split's solutions and visited count
+    for cons in sweep_systems():
+        expected = brute_solutions(cons)
+        order = _choose_order(cons)
+        solve = _solve_numpy if _fits_int64(cons) else _solve_python
+        visited = set()
+        for narrow in (latticeenum._NARROW, 0, 10**9):
+            monkeypatch.setattr(latticeenum, "_NARROW", narrow)
+            meter = _BudgetMeter(10**8)
+            assert sorted(solve(cons, order, meter)) == expected
+            visited.add(meter.visited)
+        assert len(visited) == 1
 
 
 def test_budget_charge_matches_between_dtypes():
