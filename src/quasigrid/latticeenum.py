@@ -83,16 +83,16 @@ def solve_integer_box(cons: IntConstraints, budget: int) -> list[tuple[int, ...]
     """All integer vectors satisfying every row, in no particular order."""
     if any(lo > hi for lo, hi in zip(cons.var_lo, cons.var_hi)):
         return []
-    order = _choose_order(cons)
+    order, pairs = _choose_order(cons)
     meter = _BudgetMeter(budget)
     if _fits_int64(cons):
-        solutions = _solve_numpy(cons, order, meter)
+        solutions = _solve_numpy(cons, order, pairs, meter)
     else:
-        solutions = _solve_python(cons, order, meter)
+        solutions = _solve_python(cons, order, pairs, meter)
     return solutions
 
 
-def _choose_order(cons: IntConstraints) -> list[int]:
+def _choose_order(cons: IntConstraints) -> tuple[list[int], list[list]]:
     """Fix variables in the order the propagation can pin them down.
 
     Greedy: repeatedly pick the variable whose post-fix range estimate is
@@ -100,15 +100,20 @@ def _choose_order(cons: IntConstraints) -> list[int]:
     rest their global width.  The estimate mirrors the sweep's two powers,
     single-row narrowing and exact 2x2 pair elimination, so chained block
     systems get walked block by block instead of by raw range size.
+
+    Returns the order and, for each step i, the _row_pairs with order[:i]
+    fixed, which are level i's pairs in _level_plans.
     """
     d = cons.dim
     width = [hi - lo for lo, hi in zip(cons.var_lo, cons.var_hi)]
     span = [hi - lo for lo, hi in zip(cons.lo, cons.hi)]
     remaining = set(range(d))
     order: list[int] = []
+    step_pairs = []
     while remaining:
         pairs = _row_pairs(cons.coeffs,
                            [jj not in remaining for jj in range(d)])
+        step_pairs.append(pairs)
         best = None
         for j in sorted(remaining):
             est = width[j]
@@ -131,7 +136,7 @@ def _choose_order(cons: IntConstraints) -> list[int]:
                 best = (est, j)
         order.append(best[1])
         remaining.remove(best[1])
-    return order
+    return order, step_pairs
 
 
 def _fits_int64(cons: IntConstraints) -> bool:
@@ -193,8 +198,11 @@ def _cramer(br, bs, ru, rv, su, sv, det):
     return u, v
 
 
-def _level_plans(cons: IntConstraints, order) -> list[tuple]:
+def _level_plans(cons: IntConstraints, order, step_pairs) -> list[tuple]:
     """Per level L (the variables order[:L] fixed), what its sweep visits.
+
+    step_pairs are _choose_order's row pairs of each step; level d, with
+    every variable fixed, has none.
 
     Returns, for L = 0..d, (rows, pairs, fixed columns), in Python ints
     apart from the fixed columns' index array.  rows holds the rows both
@@ -216,7 +224,7 @@ def _level_plans(cons: IntConstraints, order) -> list[tuple]:
     # the level from which each row's variables are all fixed
     settled = [max((rank[j] + 1 for j, _ in t), default=0) for t in terms]
     plans = []
-    for level in range(d + 1):
+    for level, level_pairs in enumerate(step_pairs + [[]]):
         fixed_mask = [rank[j] < level for j in range(d)]
         fixed_cols = [j for j in range(d) if fixed_mask[j]]
         rows = [(r, lo[r], hi[r], t,
@@ -224,7 +232,7 @@ def _level_plans(cons: IntConstraints, order) -> list[tuple]:
                 for r, t in enumerate(terms)
                 if settled[r] > level or (not t and level == 0)]
         pairs = []
-        for r, s, u, v, det in _row_pairs(coeffs, fixed_mask):
+        for r, s, u, v, det in level_pairs:
             ar, as_ = coeffs[r], coeffs[s]
             fixed = [(j, ar[j], as_[j]) for j in fixed_cols if ar[j] or as_[j]]
             pairs.append((r, s, lo[r], hi[r], lo[s], hi[s], fixed,
@@ -360,7 +368,7 @@ def _expand_lists(LO, HI, var):
     return out_lo, out_hi
 
 
-def _solve_numpy(cons: IntConstraints, order, meter,
+def _solve_numpy(cons: IntConstraints, order, step_pairs, meter,
                  int64=True) -> list[tuple[int, ...]]:
     """Depth-first over batches of prefixes (ranges with order[:L] fixed).
 
@@ -371,7 +379,7 @@ def _solve_numpy(cons: IntConstraints, order, meter,
     """
     d = cons.dim
     a = np.array(cons.coeffs, dtype=np.int64) if int64 else None
-    plans = _level_plans(cons, order)
+    plans = _level_plans(cons, order, step_pairs)
     out: list[tuple[int, ...]] = []
     stack = [(0, [list(cons.var_lo)], [list(cons.var_hi)])]
     while stack:
@@ -409,9 +417,10 @@ def _solve_numpy(cons: IntConstraints, order, meter,
     return out
 
 
-def _solve_python(cons: IntConstraints, order, meter) -> list[tuple[int, ...]]:
+def _solve_python(cons: IntConstraints, order, step_pairs,
+                  meter) -> list[tuple[int, ...]]:
     """Solve on Python ints alone, which cannot overflow.
 
     An entry of its own so that big-int solves can be counted by wrapping it.
     """
-    return _solve_numpy(cons, order, meter, int64=False)
+    return _solve_numpy(cons, order, step_pairs, meter, int64=False)

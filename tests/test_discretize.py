@@ -18,9 +18,11 @@ from quasigrid.cutproject import (
 )
 from quasigrid.discretize import (
     MapChain,
+    _column_bounds,
     _cos_sin_turn,
     _exp,
     _input_region,
+    _mink_cube_2d,
     _region_int_points,
     apply_chain,
     apply_hat,
@@ -95,8 +97,10 @@ def ref_input_polygon(chain, r_out, scale):
     return [(x * scale, y * scale) for x, y in ref_hull_2d(region)]
 
 
-def ref_input_grid(hull):
-    rows = []
+def ref_column_bounds(hull):
+    """(x, ceil(y_lo), floor(y_hi)) for every integer column x that a convex
+    polygon with Fraction vertices meets, scanned column by column."""
+    out = []
     xs = [v[0] for v in hull]
     for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
         ys = []
@@ -109,9 +113,34 @@ def ref_input_grid(hull):
                 t = (Fraction(x) - p[0]) / (q[0] - p[0])
                 ys.append(p[1] + t * (q[1] - p[1]))
         if ys:
-            rows.extend((x, y) for y in range(math.ceil(min(ys)),
-                                              math.floor(max(ys)) + 1))
+            out.append((x, math.ceil(min(ys)), math.floor(max(ys))))
+    return out
+
+
+def ref_input_grid(hull):
+    rows = [(x, y) for x, lo, hi in ref_column_bounds(hull)
+            for y in range(lo, hi + 1)]
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def over(den, hull):
+    """The vertices of an integer polygon over den as Fractions."""
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in hull]
+
+
+def random_convex_polygons(seed, count, span):
+    """Seeded strictly convex polygons with integer vertices in
+    [-span, span]^2, counterclockwise: hulls of a few random points, so
+    triangles, horizontal edges and vertical edges all come up."""
+    rng = RngState(seed)
+    while count:
+        pts = [(rng.randrange(2 * span + 1) - span,
+                rng.randrange(2 * span + 1) - span)
+               for _ in range(3 + rng.randrange(8))]
+        hull = ref_hull_2d(pts)
+        if len(hull) >= 3:
+            count -= 1
+            yield hull
 
 
 def diag(a, b):
@@ -309,6 +338,8 @@ class TestInputPolygon:
     @classmethod
     def assert_matches(cls, chain, r_out, scale=1):
         r_out, scale = Fraction(r_out), Fraction(scale)
+        # every map's preimage ends on the 1/8192 grid of the reference
+        assert _input_region(chain, r_out)[0] == REF_SNAP.denominator
         region = cls.scaled_region(chain, r_out, scale)
         expected = ref_input_polygon(chain, r_out, scale)
         den, verts = region
@@ -323,6 +354,16 @@ class TestInputPolygon:
         chain = sample_sl2_chain(RngState(200 + k), k)
         self.assert_matches(chain, r_out)
         self.assert_matches(chain, r_out, Fraction(3, 2))
+
+    def test_seeded_sl2_chains(self):
+        # a map inverts to a clockwise polygon only if det < 0, which SL2
+        # maps never have, so also run each chain behind a reflection
+        flip = RMatrix.from_rows([[0, 1], [1, 0]])
+        for i in range(12):
+            chain = sample_sl2_chain(RngState(300 + i), 1 + i % 4)
+            r_out = (Fraction(3), Fraction(11, 4), Fraction(1, 3))[i % 3]
+            self.assert_matches(chain, r_out)
+            self.assert_matches(MapChain(2, (flip,) + chain.matrices), r_out)
 
     def test_random_rational_chains(self):
         # entries p/q with |p| <= 2q, so zeros and negatives come up
@@ -375,6 +416,80 @@ class TestInputPolygon:
         assert grid[:, 0].max() == 1366
 
 
+class TestPolygonKernels:
+    """The one-pass inflation and the per-edge column walk against their
+    references: the hull of all 4n corners and a Fraction column scan."""
+
+    def test_mink_cube_matches_hull_of_corners(self):
+        seen = {"vertical": 0, "horizontal": 0, "triangle": 0}
+        polygons = list(random_convex_polygons(61, 60, 6))
+        polygons += [[(0, 0), (4, 0), (4, 3), (0, 3)], [(0, 0), (1, 0), (0, 1)],
+                     [(-2, 0), (0, -3), (2, 0), (0, 3)]]
+        rng = RngState(62)
+        for poly in polygons:
+            edges = list(zip(poly, poly[1:] + poly[:1]))
+            seen["vertical"] += any(p[0] == q[0] for p, q in edges)
+            seen["horizontal"] += any(p[1] == q[1] for p, q in edges)
+            seen["triangle"] += len(poly) == 3
+            for r in (1 + rng.randrange(9), 9):
+                expected = set(ref_mink_cube_2d(poly, r))
+                # both orientations, from every starting vertex
+                for turned in (poly, poly[::-1]):
+                    for start in range(len(turned)):
+                        got = _mink_cube_2d(turned[start:] + turned[:start], r)
+                        assert len(got) == len(set(got)), (poly, r)
+                        assert set(got) == expected, (turned, start, r)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 8192])
+    def test_column_bounds_match_fraction_scan(self, den):
+        # polygons over den with a few columns each, plus rectangles and a
+        # triangle whose vertical edges sit on and between integer columns
+        polygons = [[(x * den // 2, y * den // 2) for x, y in poly]
+                    for poly in random_convex_polygons(63 + den, 40, 12)]
+        polygons += [[(5, -den), (5 + 4 * den, -den), (5 + 4 * den, 2 * den),
+                      (5, 2 * den)],
+                     [(-2 * den, 1), (3 * den, 1), (3 * den, 7), (-2 * den, 7)],
+                     [(den // 2, 0), (den // 2 + 3 * den, 1), (den // 2, 5 * den)]]
+        for hull in polygons:
+            for turned in (hull, hull[::-1]):
+                x_lo, lows, highs = _column_bounds((den, turned), 10**6)
+                got = [(x_lo + i, a, b) for i, (a, b) in enumerate(zip(lows, highs))]
+                assert got == ref_column_bounds(over(den, turned)), (den, turned)
+
+    def test_column_budget_error(self):
+        # x runs from -7/2 to 3, so the columns are x = -3..3
+        triangle = (2, [(-7, 0), (6, -1), (6, 1)])
+        with pytest.raises(BudgetError, match="would span 7 columns, more than 6 "):
+            _column_bounds(triangle, 6)
+        assert _column_bounds(triangle, 7)[0] == -3
+
+    @pytest.mark.parametrize("den", [1, 3, 8192])
+    def test_region_points_match_tuple_enumeration(self, den):
+        polygons = [[(x * den // 3, y * den // 3) for x, y in poly]
+                    for poly in random_convex_polygons(67 + den, 30, 15)]
+        if den > 1:
+            # a sliver between two columns holds no integer point
+            polygons.append([(den // 3, 0), (2 * den // 3, 0), (den // 2, den)])
+        for hull in polygons:
+            bounds = ref_column_bounds(over(den, hull))
+            rows = [(x, y) for x, a, b in bounds for y in range(a, b + 1)]
+            got = _region_int_points((den, hull), 2, 10**6)
+            assert got.dtype == np.int64 and got.shape == (len(rows), 2)
+            assert list(map(tuple, got.tolist())) == rows
+            # the column count is checked first, then the point count
+            cols = len(bounds)
+            for budget in (cols - 1, len(rows) - 1):
+                what = (f"span {cols} columns" if cols > budget
+                        else f"hold {len(rows)} points")
+                with pytest.raises(BudgetError, match=(
+                        rf"input grid for the chain would {what}, "
+                        rf"more than {budget} \(raise QUASIGRID_BUDGET")):
+                    _region_int_points((den, hull), 2, budget)
+            budget = max(cols, len(rows))
+            assert len(_region_int_points((den, hull), 2, budget)) == len(rows)
+
+
 class TestSl2Sampler:
     def test_deterministic_in_seed(self):
         a = sample_sl2_chain(RngState(42), 3)
@@ -402,16 +517,20 @@ class TestSl2Sampler:
 
     def test_series_against_float_libm(self):
         for f in (Fraction(1, 8), Fraction(1, 3), Fraction(7, 16)):
-            c, s = _cos_sin_turn(f)
-            assert abs(float(c) - math.cos(2 * math.pi * float(f))) < 1e-12
-            assert abs(float(s) - math.sin(2 * math.pi * float(f))) < 1e-12
+            c, s, q = _cos_sin_turn(f)
+            assert abs(float(Fraction(c, q)) - math.cos(2 * math.pi * float(f))) < 1e-12
+            assert abs(float(Fraction(s, q)) - math.sin(2 * math.pi * float(f))) < 1e-12
         for t in (Fraction(-1, 2), Fraction(1, 5), Fraction(1, 2)):
-            assert abs(float(_exp(t)) - math.exp(float(t))) < 1e-12
+            plus, minus, q = _exp(t)
+            assert abs(float(Fraction(plus, q)) - math.exp(float(t))) < 1e-12
+            assert abs(float(Fraction(minus, q)) - math.exp(-float(t))) < 1e-12
 
 
     def test_series_equal_fraction_reference(self):
-        # the integer-numerator series give the very Fractions of the plain
-        # Fraction series, and the entries their round()-quantization
+        # the unreduced integer-numerator series give the very Fractions of
+        # the plain Fraction series, cosine and sine over one denominator
+        # and e^t and e^-t over another, and the entries their
+        # round()-quantization
         edges = [Fraction(0), HALF, -HALF, Fraction(1, 4), Fraction(-1, 4),
                  Fraction(3, 4), Fraction(1, 1 << 32), HALF - Fraction(1, 1 << 32)]
         rng = RngState(77)
@@ -419,9 +538,12 @@ class TestSl2Sampler:
         stretches = [Fraction(0), HALF, -HALF] + [rng.unit() - HALF
                                                  for _ in range(300)]
         for f in turns:
-            assert _cos_sin_turn(f) == cos_sin_turn_reference(f), f
+            c, s, q = _cos_sin_turn(f)
+            assert (Fraction(c, q), Fraction(s, q)) == cos_sin_turn_reference(f), f
         for t in stretches:
-            assert _exp(t) == exp_reference(t), t
+            plus, minus, q = _exp(t)
+            assert Fraction(plus, q) == exp_reference(t), t
+            assert Fraction(minus, q) == exp_reference(-t), t
         triples = [(f, t, g) for f in edges for t in stretches[:3]
                    for g in edges[::3]]
         triples += list(zip(turns[8:108], stretches[3:103], turns[108:208]))

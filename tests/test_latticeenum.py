@@ -7,7 +7,7 @@ import pytest
 
 from oracles import frac_entry
 from quasigrid.cutproject import _scaled_constraints, iterated_scheme
-from quasigrid.discretize import _hat_int_array
+from quasigrid.discretize import _hat_int_array, _unique_rows
 from quasigrid.errors import BudgetError
 import quasigrid.latticeenum as latticeenum
 from quasigrid.latticeenum import (
@@ -57,9 +57,9 @@ def test_both_paths_match_brute_force():
     for _ in range(40):
         cons = random_system(rng)
         expected = brute_solutions(cons)
-        order = _choose_order(cons)
-        fast = sorted(_solve_numpy(cons, order, _BudgetMeter(10**8)))
-        slow = sorted(_solve_python(cons, order, _BudgetMeter(10**8)))
+        order, pairs = _choose_order(cons)
+        fast = sorted(_solve_numpy(cons, order, pairs, _BudgetMeter(10**8)))
+        slow = sorted(_solve_python(cons, order, pairs, _BudgetMeter(10**8)))
         assert fast == expected
         assert slow == expected
 
@@ -108,9 +108,10 @@ def test_chain_systems_match_brute_force():
             system = cons if zero_lo is None else with_zero_row(cons, zero_lo)
             expected = brute_solutions(system)
             assert bool(expected) != (zero_lo == 1)
-            order = _choose_order(system)
+            order, pairs = _choose_order(system)
             for solve in (_solve_numpy, _solve_python):
-                assert sorted(solve(system, order, _BudgetMeter(10**8))) == expected
+                assert sorted(solve(system, order, pairs,
+                                    _BudgetMeter(10**8))) == expected
 
 
 @pytest.mark.parametrize("maps, radius, visited, solutions", [
@@ -125,13 +126,13 @@ def test_chain_systems_match_brute_force():
 ], ids=["n1_k3", "n2_k2_shears", "n2_k3_zero_entries"])
 def test_chain_system_visits(maps, radius, visited, solutions, monkeypatch):
     cons = chain_system([RMatrix.from_rows(m) for m in maps], radius)
-    order = _choose_order(cons)
+    order, pairs = _choose_order(cons)
     # every batch on arrays, the default split, every batch prefix by prefix
     for narrow in (0, latticeenum._NARROW, 10**9):
         monkeypatch.setattr(latticeenum, "_NARROW", narrow)
         for solve in (_solve_numpy, _solve_python):
             meter = _BudgetMeter(10**8)
-            assert len(solve(cons, order, meter)) == solutions
+            assert len(solve(cons, order, pairs, meter)) == solutions
             assert meter.visited == visited
 
 
@@ -206,8 +207,8 @@ def test_prefix_sweep_matches_batch_sweep():
     for cons in sweep_systems():
         dtype = np.int64 if _fits_int64(cons) else object
         a = np.array(cons.coeffs, dtype=dtype)
-        order = _choose_order(cons)
-        for level, plan in enumerate(_level_plans(cons, order)):
+        order, pairs = _choose_order(cons)
+        for level, plan in enumerate(_level_plans(cons, order, pairs)):
             seen["pairs"] += len(plan[1])
             seen["fixed pairs"] += sum(bool(p[6]) for p in plan[1])
             LO, HI = random_batch(rng, cons, set(order[:level]), 12)
@@ -227,23 +228,26 @@ def test_narrow_width_keeps_solutions_and_visits(monkeypatch):
     # must give the default split's solutions and visited count
     for cons in sweep_systems():
         expected = brute_solutions(cons)
-        order = _choose_order(cons)
+        order, pairs = _choose_order(cons)
         solve = _solve_numpy if _fits_int64(cons) else _solve_python
         visited = set()
         for narrow in (latticeenum._NARROW, 0, 10**9):
             monkeypatch.setattr(latticeenum, "_NARROW", narrow)
             meter = _BudgetMeter(10**8)
-            assert sorted(solve(cons, order, meter)) == expected
+            assert sorted(solve(cons, order, pairs, meter)) == expected
             visited.add(meter.visited)
         assert len(visited) == 1
 
 
 def test_budget_charge_matches_between_dtypes():
     for cons, big in scaled_systems(91):
-        order = _choose_order(big)
+        # the scaled copy gets the same order, and pairs with the same rows
+        order, pairs = _choose_order(cons)
+        big_order, big_pairs = _choose_order(big)
+        assert big_order == order
         small_meter, big_meter = _BudgetMeter(10**8), _BudgetMeter(10**8)
-        _solve_numpy(cons, order, small_meter)
-        _solve_python(big, order, big_meter)
+        _solve_numpy(cons, order, pairs, small_meter)
+        _solve_python(big, big_order, big_pairs, big_meter)
         visited = big_meter.visited
         assert visited == small_meter.visited
         with pytest.raises(BudgetError):
@@ -289,12 +293,14 @@ def test_hat_array_bigint_fallback_matches_pointwise():
         [[1 << 36, -(1 << 35)], [12345678901234, 98765432109], [0, 1]],
         dtype=np.int64,
     )
-    images = _hat_int_array(a, pts)
-    expected = sorted(
-        {tuple(int(c) for c in round_vector(a.apply(tuple(map(int, p)))))
-         for p in pts}
-    )
-    assert [tuple(int(x) for x in row) for row in images.tolist()] == expected
+    rows = _hat_int_array(a, pts)
+    pointwise = [tuple(int(c) for c in round_vector(a.apply(tuple(map(int, p)))))
+                 for p in pts]
+    # row for row, then deduplicated in lexicographic order
+    assert [tuple(int(x) for x in row) for row in rows.tolist()] == pointwise
+    images = _unique_rows(rows)
+    assert [tuple(int(x) for x in row) for row in images.tolist()] == sorted(
+        set(pointwise))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -312,13 +318,15 @@ def test_hat_array_dedupe_matches_unique(n):
                   for p in pts.tolist()]
         expected = np.unique(np.array(images, dtype=np.int64).reshape(size, n),
                              axis=0)
-        got = _hat_int_array(a, pts)
+        rows = _hat_int_array(a, pts)
+        assert rows.dtype == np.int64 and rows.tolist() == images, (n, trial)
+        got = _unique_rows(rows)
         assert got.dtype == np.int64 and got.shape == expected.shape
         assert np.array_equal(got, expected), (n, trial)
         if size:
             # small values on an object array take the int64 route as well:
             # the dtype follows the bound, not the input
-            boxed = _hat_int_array(a, pts.astype(object))
+            boxed = _unique_rows(_hat_int_array(a, pts.astype(object)))
             assert boxed.dtype == np.int64 and np.array_equal(boxed, expected)
 
 
