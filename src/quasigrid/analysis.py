@@ -1,14 +1,15 @@
 """Windowed density estimators and almost-periodicity probes.
 
 The sup/inf over ball centers that the density quantities call for is exact
-in dimensions 1 and 2.  The count of points inside an open ball is piecewise
+in every dimension.  The count of points inside an open ball is piecewise
 constant in the center and changes only where a point's window (c - R,
 c + R) opens or closes on an axis.  One pass over those events, sorted on
 the set's integer keys, steps through the count at every breakpoint and
 just beside it, so it meets every value the count takes over the region.
-In 2-D each distinct x-strip of points gets one such pass on its y values.
-All quantities are plain Fractions; nothing is sampled except where an
-operation takes an explicit rng.
+Above one dimension each distinct strip of points on the first axis gets
+one such sweep on its remaining coordinates, recursively down to the last
+axis.  All quantities are plain Fractions; nothing is sampled except where
+an operation takes an explicit rng.
 
 Suprema over all of space and limits over growing radii are replaced by
 their windowed counterparts over the region where the data is complete;
@@ -21,15 +22,14 @@ import bisect
 import itertools
 import math
 import operator
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .pointset import (PointSet, _in_box, _inside, _keys_at, _Keys,
-                       _min_pairwise_distance, _open_box, _shift_diff, sym_diff)
+from .pointset import (PointSet, _in_box, _inside, _keys_at, _Keys, _open_box,
+                       _shift_diff, sym_diff)
 from .ratmath import Vec, _times, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
@@ -79,37 +79,46 @@ def _counted_extrema(counts: Mapping[int, int], radius: int, lo: int,
     return _running_extrema(events, map(step.__getitem__, events), lo, hi)
 
 
-def _extrema_2d(xs: Sequence[int], ys: Sequence[int], radius: int,
-                x_range: tuple[int, int],
-                y_range: tuple[int, int]) -> tuple[int, int]:
-    """Exact (min, max) over the centers of x_range x y_range; xs ascending.
+def _extrema(axes: Sequence[Sequence[int]], radius: int,
+             ranges: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Exact (min, max) over the centers of the box of ranges, dim >= 2.
 
-    For a center at x the points within R on the first axis are the strip
-    ys[i:j], with i the windows closed and j the windows opened by the x
-    events up to x (encoded as in _running_extrema).  Each event value in
-    the range gives a distinct strip.  Walking them in order, the strip's
-    y values stay counted as points enter and leave it, and each strip
-    gets one pass over its distinct values.
+    axes are the point coordinates as columns, the first ascending.  For a
+    center at x the points within R on the first axis are the strip
+    tails[i:j] of their remaining coordinates, with i the windows closed
+    and j the windows opened by the x events up to x (encoded as in
+    _running_extrema).  Each event value in the range gives a distinct
+    strip.  Walking them in order, the strip stays counted as points enter
+    and leave it, and each strip gets one sweep on the remaining axes: one
+    pass over its distinct values on the last axis, a recursion above it.
     """
+    xs, *rest = axes
     closes = [2 * (c + radius) for c in xs]
     opens = [2 * (c - radius) + 1 for c in xs]
-    lo, hi = 2 * x_range[0], 2 * x_range[1]
+    lo, hi = 2 * ranges[0][0], 2 * ranges[0][1]
     marks = sorted({lo, *(e for events in (closes, opens)
                           for e in events[bisect.bisect_right(events, lo):
                                           bisect.bisect_right(events, hi)])})
-    strip: Counter[int] = Counter()
+    tails = rest[0] if len(rest) == 1 else list(zip(*rest))
+    strip: Counter = Counter()
     i = j = bisect.bisect_right(closes, lo)
     extrema = []
     for t in marks:
-        enter = ys[j:bisect.bisect_right(opens, t)]
-        leave = ys[i:bisect.bisect_right(closes, t)]
+        enter = tails[j:bisect.bisect_right(opens, t)]
+        leave = tails[i:bisect.bisect_right(closes, t)]
         strip.update(enter)
         strip.subtract(leave)
         for y in leave:
             if not strip.get(y, 1):
                 del strip[y]
         i, j = i + len(leave), j + len(enter)
-        extrema.append(_counted_extrema(strip, radius, *y_range))
+        if len(rest) == 1:
+            extrema.append(_counted_extrema(strip, radius, *ranges[1]))
+        elif strip:
+            extrema.append(_extrema(list(zip(*sorted(strip.elements()))),
+                                    radius, ranges[1:]))
+        else:
+            extrema.append((0, 0))
     return min(e[0] for e in extrema), max(e[1] for e in extrema)
 
 
@@ -126,8 +135,6 @@ def _sweep_extrema(scale: int, keys: _Keys, radius: Fraction,
             raise DomainError("empty center region for the sweep")
     if not keys:
         return 0, 0
-    if len(region) > 2:
-        return _grid_extrema(scale, keys, radius, region)
     big = math.lcm(scale, radius.denominator,
                    *(b.denominator for b in itertools.chain.from_iterable(region)))
     factor = big // scale
@@ -135,29 +142,7 @@ def _sweep_extrema(scale: int, keys: _Keys, radius: Fraction,
     bounds = [(_times(lo, big), _times(hi, big)) for lo, hi in region]
     if len(region) == 1:
         return _extrema_1d(axes[0], _times(radius, big), *bounds[0])
-    return _extrema_2d(*axes, _times(radius, big), *bounds)
-
-
-def _grid_extrema(scale: int, keys: _Keys, radius: Fraction,
-                  region: Region) -> tuple[int, int]:
-    """Sampled bracket for dim >= 3: inner bound only, flagged via warning."""
-    warnings.warn(
-        "center sweep is exact only in dimensions 1 and 2; reporting a "
-        "grid-sampled bracket (max is a lower bound of the true sup)",
-        stacklevel=3,
-    )
-    # a quarter of the least distance, half the discreteness radius r_gamma
-    step = (_min_pairwise_distance(scale, keys) / 4 if len(keys) >= 2
-            else Fraction(1, 2))
-    # the grid and the counts run on the keys, put on a common multiple of L
-    big = math.lcm(scale, radius.denominator, step.denominator,
-                   *(b.denominator for b in itertools.chain.from_iterable(region)))
-    factor, istep, rad = big // scale, _times(step, big), _times(radius, big)
-    keys = [tuple(factor * c for c in k) for k in keys]
-    axes = [[*range(lo, hi + 1, istep), hi]
-            for lo, hi in ((_times(a, big), _times(b, big)) for a, b in region)]
-    counts = [len(_inside(keys, x, rad)) for x in itertools.product(*axes)]
-    return min(counts), max(counts)
+    return _extrema(axes, _times(radius, big), bounds)
 
 
 def _center_region(center: Vec, domain_radius: Fraction,
@@ -203,12 +188,10 @@ def density_R(s: PointSet, t: PointSet, x: Sequence, radius) -> Fraction:
 
 
 def density_R_plus(s: PointSet, t: PointSet, radius) -> Fraction:
-    """Sup over valid centers of density_R; exact for dimensions 1 and 2."""
+    """Sup over valid centers of density_R, exact in every dimension."""
     radius = rat(radius)
     diff = sym_diff(s, t)
     region = _center_region(diff.center, diff.radius, radius)
-    if len(diff) == 0:
-        return Fraction(0)
     _, sup_count = _sweep_extrema(*diff._keys, radius, region)
     return Fraction(sup_count) / ball_volume(radius, s.dim)
 
@@ -291,14 +274,6 @@ def _rung_ladder(r_eps: Fraction, top: Fraction) -> list[Fraction]:
     return rungs
 
 
-def _sup_count(scale: int, keys: _Keys, center: Vec, domain_radius: Fraction,
-               radius: Fraction) -> int:
-    region = _center_region(center, domain_radius, radius)
-    if not keys:
-        return 0
-    return _sweep_extrema(scale, keys, radius, region)[1]
-
-
 def epsilon_translations(s: PointSet, eps, r_eps, v_max) -> TranslationReport:
     """Difference vectors that keep the shifted set within windowed density
     eps of the original at every rung of a geometric radius ladder.
@@ -319,11 +294,12 @@ def epsilon_translations(s: PointSet, eps, r_eps, v_max) -> TranslationReport:
         )
     accepted = []
     for v in _difference_candidates(s, v_max):
-        diff = _shift_diff(s, v)
+        scale, keys, center, domain_radius = _shift_diff(s, v)
         top = s.radius - inf_norm(v) - r_eps
         ok = True
         for rung in _rung_ladder(r_eps, top):
-            count = _sup_count(*diff, rung)
+            region = _center_region(center, domain_radius, rung)
+            count = _sweep_extrema(scale, keys, rung, region)[1]
             if Fraction(count) / ball_volume(rung, s.dim) >= eps:
                 ok = False
                 break
@@ -366,8 +342,6 @@ def subadditivity_check(s: PointSet, v_list: Sequence, radius):
 
     def sup_density(diff) -> Fraction:
         scale, keys, _, _ = diff
-        if not keys:
-            return Fraction(0)
         return Fraction(_sweep_extrema(scale, keys, radius, region)[1]) / volume
 
     lhs = sup_density(total_diff)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 
 from quasigrid.ratmath import IntervalBox, preimage_bounds, round_scalar
@@ -284,6 +286,30 @@ def dense_grid_extrema(points, radius, region, step):
     inside = (np.abs(centers[:, None, :] - pts[None, :, :]) < radius).all(axis=2)
     counts = inside.sum(axis=1)
     return int(counts.min()), int(counts.max())
+
+
+def breakpoint_cell_extrema(points, radius, region):
+    """Min/max open-ball counts over every cell of the centers' breakpoints.
+
+    Fraction inputs, any dimension.  Along one axis a point's window
+    (p - R, p + R) changes the count only at its two ends, so each
+    breakpoint inside the region, each region end and one center between
+    neighbours meet every value the count takes on that axis.  Each such
+    center gives the bit mask of the points within R of it on the axis; a
+    ball holds the points in every axis's mask, so the product of the
+    distinct masks meets every cell of the region.
+    """
+    axes = []
+    for axis, (lo, hi) in enumerate(region):
+        cuts = sorted({lo, hi, *(b for p in points
+                                 for b in (p[axis] - radius, p[axis] + radius)
+                                 if lo < b < hi)})
+        centers = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        axes.append({sum(1 << i for i, p in enumerate(points)
+                         if abs(p[axis] - x) < radius) for x in centers})
+    counts = [bin(reduce(operator.and_, masks)).count("1")
+              for masks in product(*axes)]
+    return min(counts), max(counts)
 
 
 def min_pairwise_distance(points):

@@ -1,11 +1,11 @@
 import hashlib
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from oracles import dense_grid_extrema, naive_sup_half_grid, weak_ap_reference
+from oracles import (breakpoint_cell_extrema, dense_grid_extrema,
+                     naive_sup_half_grid, weak_ap_reference)
 from quasigrid.analysis import (
     _difference_candidates,
     _sweep_extrema,
@@ -47,22 +47,6 @@ def fraction_differences(points, v_max):
     norm at most v_max, in lexicographic order."""
     diffs = {tuple(a - b for a, b in zip(p, q)) for p in points for q in points}
     return sorted(d for d in diffs if max(map(abs, d)) <= v_max)
-
-
-def fraction_grid_extrema(points, radius, region):
-    """The dim >= 3 sampled bracket in Fractions: centers step a quarter of
-    the least pairwise distance (1/2 for fewer than two points) from each
-    region's low end, plus its high end; min and max of the open-ball
-    counts over all of them."""
-    step = min((max(abs(a - b) for a, b in zip(p, q)) / 4
-                for p, q in itertools.combinations(points, 2)),
-               default=Fraction(1, 2))
-    axes = [[lo + k * step for k in range(int((hi - lo) / step) + 1)] + [hi]
-            for lo, hi in region]
-    counts = [sum(1 for p in points
-                  if max(abs(a - b) for a, b in zip(p, x)) < radius)
-              for x in itertools.product(*axes)]
-    return min(counts), max(counts)
 
 
 class TestDensityR:
@@ -143,15 +127,16 @@ class TestDensityRPlus:
     def test_sweep_matches_dense_grid_edge_cases(self):
         # numerators on the grid 1/den, shifted by a multiple of 1/3; the
         # oracle walks the half grid of the numerators, since counts do not
-        # change under the shift
+        # change under the shift; cases 0-479 alternate dimensions 1 and 2,
+        # cases 480-719 dimensions 3 and 4 on narrower regions
         rng = RngState(63)
         dens = (1, 3, 1 << 32, 3 << 32)
-        for case in range(480):
-            dim = 1 + case % 2
+        for case in range(720):
+            dim = 1 + case % 2 + 2 * (case >= 480)
             den = dens[rng.randrange(4)]
             offset = Fraction(rng.randrange(81) - 40, 3)
             radius = 1 + rng.randrange(6)
-            gap = dim == 2 and rng.randrange(3) == 0
+            gap = dim >= 2 and rng.randrange(3) == 0
             nums = set()
             for _ in range(1 + rng.randrange(12)):
                 x = rng.randrange(25) - 12
@@ -162,7 +147,7 @@ class TestDensityRPlus:
             nums = sorted(nums)
             region = []
             for axis in range(dim):
-                width = rng.randrange(13)
+                width = rng.randrange(13 if dim <= 2 else 7)
                 kind = rng.randrange(5)
                 anchor = nums[rng.randrange(len(nums))][axis]
                 anchor += radius if rng.randrange(2) else -radius
@@ -396,42 +381,38 @@ class TestWeakApProbe:
             weak_ap_probe(s, Fraction(1, 10), 6, 5, RngState(1))
 
 
-class TestHighDimensionFallback:
-    def test_sampled_bracket_with_warning(self):
+class TestHighDimensionSweep:
+    def cube(self):
         pts = [(Fraction(x), Fraction(y), Fraction(z))
                for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
-        cube = PointSet.build(3, pts, (0, 0, 0), 3)
-        with pytest.warns(UserWarning, match="lower bound"):
-            prof = uniform_density(cube, [Fraction(3, 2)], Fraction(1, 2))
-        radius, d_min, d_max = prof.samples[0]
-        assert d_min <= 1 <= d_max  # true density of Z^3 sits in the bracket
+        return PointSet.build(3, pts, (0, 0, 0), 3)
 
-    def test_grid_bracket_matches_fraction_reference(self):
-        # lattices of spacing a in {2/3, 5/4, 3/2} give non-integer grid
-        # steps; radii and region ends on a/4 put centers on ball rims
+    def test_cube_bracket_is_exact(self):
+        # a ball of radius 3/2 holds between 2^3 and 3^3 lattice points
+        prof = uniform_density(self.cube(), [Fraction(3, 2)], Fraction(1, 2))
+        assert prof.samples == ((Fraction(3, 2), Fraction(8, 27), Fraction(1)),)
+
+    def test_cube_sup_density_is_exact(self):
+        empty = PointSet.build(3, [], (0, 0, 0), 3)
+        assert density_R_plus(self.cube(), empty, 2) == 1
+
+    def test_sweep_matches_breakpoint_cells(self):
+        # lattices of spacing a in {2/3, 5/4, 3/2} in dimensions 3 and 4;
+        # radii and region ends on a/4 put centers on ball rims
         rng = RngState(53)
-        for case in range(12):
+        for case in range(200):
             a = (Fraction(2, 3), Fraction(5, 4), Fraction(3, 2))[case % 3]
+            dim = 3 + (case >= 150)
             offset = Fraction(case % 2, 7)
             pts = sorted({tuple(a * (rng.randrange(7) - 3) + offset
-                                for _ in range(3))
+                                for _ in range(dim))
                           for _ in range(1 if case == 0 else 10 + rng.randrange(20))})
             radius = a * Fraction(3 + rng.randrange(7), 4)
             region = tuple((lo, lo + a * Fraction(1 + rng.randrange(8), 4))
                            for lo in (a * Fraction(rng.randrange(13) - 6, 4)
-                                      for _ in range(3)))
-            with pytest.warns(UserWarning, match="lower bound"):
-                got = _sweep_extrema(*keyed(pts, 3), radius, region)
-            assert got == fraction_grid_extrema(pts, radius, region)
-
-    def test_sup_density_warns_too(self):
-        pts = [(Fraction(x), Fraction(y), Fraction(z))
-               for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
-        cube = PointSet.build(3, pts, (0, 0, 0), 3)
-        empty = PointSet.build(3, [], (0, 0, 0), 3)
-        with pytest.warns(UserWarning, match="lower bound"):
-            d = density_R_plus(cube, empty, 2)
-        assert d > 0
+                                      for _ in range(dim)))
+            got = _sweep_extrema(*keyed(pts, dim), radius, region)
+            assert got == breakpoint_cell_extrema(pts, radius, region), case
 
 
 class TestReports:

@@ -51,18 +51,26 @@ def test_gen_chain_matches_gen_model(tmp_path):
     assert main(["verify", "--chain", str(chain), "--radius", "30"]) == 0
 
 
-def test_analyze_density(tmp_path, capsys):
+@pytest.mark.parametrize("gen_args, density_args, lines", [
+    # within 1/100 of 1
+    (["--dim", "2", "--radius", "105/2"], ["--rmax", "50"],
+     ["density 19801/20000"]),
+    # Z^3 is exact too: a ball of radius 4 holds 7^3 or 8^3 points
+    (["--dim", "3", "--radius", "8"], ["--rmax", "4", "--eps", "1/2"],
+     ["density 855/1024", "sample 4 343/512 1"]),
+], ids=["z2", "z3"])
+def test_analyze_density(tmp_path, capsys, gen_args, density_args, lines):
     qps = tmp_path / "z.qps"
-    assert main(["gen", "zn", "--dim", "2", "--radius", "105/2",
-                 "--out", str(qps)]) == 0
+    assert main(["gen", "zn", *gen_args, "--out", str(qps)]) == 0
     rpt = tmp_path / "d.rpt"
     csv = tmp_path / "d.csv"
-    assert main(["analyze", "density", "--in", str(qps), "--rmax", "50",
+    assert main(["analyze", "density", "--in", str(qps), *density_args,
                  "--out", str(rpt), "--csv", str(csv)]) == 0
-    text = rpt.read_text()
-    assert "verdict converged" in text
-    assert "density 19801/20000" in text  # within 1/100 of 1
+    report = rpt.read_text().splitlines()
+    assert "verdict converged" in report
+    assert all(line in report for line in lines)
     assert csv.read_text().startswith("R,d_min,d_max\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_translations(tmp_path, residue_file):
