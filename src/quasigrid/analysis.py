@@ -13,7 +13,9 @@ an operation takes an explicit rng.
 
 Suprema over all of space and limits over growing radii are replaced by
 their windowed counterparts over the region where the data is complete;
-every report records the region and radii actually used.
+every report records the region and radii actually used.  The difference
+that an epsilon-translation v is judged on is sym_diff(translate(s, v), s),
+made by the public point-set operations, on their common domain ball.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .pointset import (PointSet, _in_box, _inside, _keys_at, _Keys, _open_box,
-                       _shift_diff, sym_diff)
+from .pointset import PointSet, _in_ball, _Keys, restrict, sym_diff, translate
 from .ratmath import Vec, _times, ball_volume, inf_norm, rat, vec, vec_sub
 from .rng import RngState
 from .textio import format_rational
@@ -172,19 +173,10 @@ def _intersect_regions(regions: Sequence[Region]) -> Region:
 
 
 def density_R(s: PointSet, t: PointSet, x: Sequence, radius) -> Fraction:
-    """Symmetric-difference count in B(x, R) over the ball volume."""
-    x = vec(x)
-    radius = rat(radius)
-    diff = sym_diff(s, t)
-    if inf_norm(vec_sub(x, diff.center)) + radius > diff.radius:
-        raise DomainError(
-            f"B({x}, {radius}) is not inside both complete domains"
-        )
-    scale = math.lcm(diff._keys[0], radius.denominator,
-                     *(c.denominator for c in x))
-    count = len(_inside(_keys_at(diff, scale), [_times(c, scale) for c in x],
-                        _times(radius, scale)))
-    return Fraction(count) / ball_volume(radius, s.dim)
+    """Symmetric-difference count in B(x, R) over the ball volume; the ball
+    must fit the common domain of s and t."""
+    inside = restrict(sym_diff(s, t), x, radius)
+    return Fraction(len(inside)) / ball_volume(radius, s.dim)
 
 
 def density_R_plus(s: PointSet, t: PointSet, radius) -> Fraction:
@@ -294,12 +286,12 @@ def epsilon_translations(s: PointSet, eps, r_eps, v_max) -> TranslationReport:
         )
     accepted = []
     for v in _difference_candidates(s, v_max):
-        scale, keys, center, domain_radius = _shift_diff(s, v)
+        diff = sym_diff(translate(s, v), s)
         top = s.radius - inf_norm(v) - r_eps
         ok = True
         for rung in _rung_ladder(r_eps, top):
-            region = _center_region(center, domain_radius, rung)
-            count = _sweep_extrema(scale, keys, rung, region)[1]
+            region = _center_region(diff.center, diff.radius, rung)
+            count = _sweep_extrema(*diff._keys, rung, region)[1]
             if Fraction(count) / ball_volume(rung, s.dim) >= eps:
                 ok = False
                 break
@@ -334,15 +326,14 @@ def subadditivity_check(s: PointSet, v_list: Sequence, radius):
     total = shifts[0]
     for v in shifts[1:]:
         total = tuple(a + b for a, b in zip(total, v))
-    *diffs, total_diff = [_shift_diff(s, v) for v in shifts + [total]]
-    regions = [_center_region(center, dom, radius)
-               for _, _, center, dom in diffs + [total_diff]]
+    *diffs, total_diff = [sym_diff(translate(s, v), s) for v in shifts + [total]]
+    regions = [_center_region(d.center, d.radius, radius)
+               for d in diffs + [total_diff]]
     region = _intersect_regions(regions)
     volume = ball_volume(radius, s.dim)
 
-    def sup_density(diff) -> Fraction:
-        scale, keys, _, _ = diff
-        return Fraction(_sweep_extrema(scale, keys, radius, region)[1]) / volume
+    def sup_density(diff: PointSet) -> Fraction:
+        return Fraction(_sweep_extrema(*diff._keys, radius, region)[1]) / volume
 
     lhs = sup_density(total_diff)
     rhs = sum((sup_density(d) for d in diffs), Fraction(0))
@@ -394,7 +385,7 @@ def weak_ap_probe(s: PointSet, eps, radius, pair_count: int,
         return tuple(lo + (hi - lo) * rng.unit() for lo, hi in region)
 
     def window(x: Vec) -> _Keys:
-        return [keys[i] for i in _in_box(keys, *_open_box(x, radius, scale))]
+        return [keys[i] for i in _in_ball(keys, scale, x, radius)]
 
     witnesses = []
     worst = Fraction(0)

@@ -64,12 +64,12 @@ class Window:
         return cls(0, (IntervalBox((), (), (), ()),))
 
     @classmethod
-    def cube(cls, m: int, radius, closed: bool = True) -> "Window":
+    def cube(cls, m: int, radius) -> "Window":
+        """The closed cube of the given radius around the origin."""
         radius = rat(radius)
         if m == 0:
             return cls.vacuous()
-        flags = (closed,) * m
-        return cls(m, (IntervalBox((-radius,) * m, (radius,) * m, flags, flags),))
+        return cls(m, (IntervalBox.closed((-radius,) * m, (radius,) * m),))
 
     def contains(self, p: Sequence) -> bool:
         return any(box.contains(p) for box in self.boxes)
@@ -201,7 +201,7 @@ def translation_set(scheme: CutProjectScheme, eta, radius) -> PointSet:
     if eta <= 0:
         raise ValueError("eta must be positive")
     swapped = CutProjectScheme(scheme.m, scheme.n, scheme.basis,
-                               Window.cube(scheme.m, eta, closed=True))
+                               Window.cube(scheme.m, eta))
     return enumerate_model_set(swapped, (0,) * scheme.n, radius).patch
 
 

@@ -32,7 +32,9 @@ import numpy as np
 from .errors import BudgetError, FormatError
 
 DEFAULT_BUDGET = 10**8
-_CHUNK = 1 << 19  # max prefixes materialized per batch
+# max prefixes per stack entry: an expansion builds all its rows and then
+# splits them, so this caps the temporaries of each sweep, not the expansion
+_CHUNK = 1 << 19
 _INT64_SAFE = 1 << 61
 _NARROW = 16  # widest batch swept prefix by prefix on an int64 system
 

@@ -5,6 +5,10 @@ which the set is known to be the full intersection with some underlying
 (usually infinite) set.  Density estimators downstream refuse to look
 outside that ball, which keeps windowed statistics honest instead of
 silently biased near patch boundaries.
+
+The set operations (translate, sym_diff, restrict) run on the sets' integer
+keys, and every open-ball test is one _in_ball on them; the analysis layer
+builds its differences and window counts from these public operations.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, FormatError
 from .ratmath import (Vec, _scale_to_ints, _times, inf_norm, rat, vec, vec_add,
@@ -131,7 +135,7 @@ class PointSet:
         order = sorted(keys)
         if not all(map(operator.lt, order, itertools.islice(order, 1, None))):
             order = list(dict.fromkeys(order))
-        inside = _in_box(order, *_open_box(center_v, radius_f, scale))
+        inside = _in_ball(order, scale, center_v, radius_f)
         if len(inside) < len(order):
             first = next((i for i, j in enumerate(inside) if i != j), len(inside))
             bad = tuple(Fraction(x, scale) for x in order[first])
@@ -182,26 +186,21 @@ def _keys_at(s: PointSet, scale: int) -> _Keys:
                       itertools.repeat(scale // own)), s.dim)
 
 
-def _open_box(center: Vec, radius: Fraction,
-              scale: int) -> tuple[list[int], list[int]]:
-    """Integer bounds of the open ball B(center, radius) on the given scale:
-    a key k lies in the ball iff lo[i] < k[i] < hi[i] on every axis."""
+def _in_ball(keys: _Keys, scale: int, center: Vec,
+             radius: Fraction) -> Sequence[int]:
+    """Indices of the sorted keys, on the given scale, that lie in the open
+    ball B(center, radius): the first axis by bisection, the others by one
+    filter each."""
     # an integer lies strictly between (c - R) L and (c + R) L iff it lies
-    # strictly between the floor of the one and the ceiling of the other
-    return ([math.floor((c - radius) * scale) for c in center],
-            [math.ceil((c + radius) * scale) for c in center])
-
-
-def _inside(keys: _Keys, center: Sequence[int], radius: int) -> Sequence[int]:
-    """Indices of the sorted keys strictly inside the cube of the given
-    center and radius, all on the keys' scale."""
-    return _in_box(keys, [c - radius for c in center],
-                   [c + radius for c in center])
-
-
-def _in_box(keys: _Keys, lo: Sequence[int], hi: Sequence[int]) -> Sequence[int]:
-    """Indices of the sorted keys k with lo[i] < k[i] < hi[i] on every axis:
-    the first axis by bisection, the others by one filter each."""
+    # strictly between the floor of the one and the ceiling of the other;
+    # with c = a/b and R = e/f those ends are (a f -+ e b) L / (b f)
+    lo, hi = [], []
+    for c in center:
+        den = c.denominator * radius.denominator
+        mid = c.numerator * radius.denominator * scale
+        half = radius.numerator * c.denominator * scale
+        lo.append((mid - half) // den)
+        hi.append(-((-mid - half) // den))
     first = bisect.bisect_left(keys, (lo[0] + 1,))
     last = bisect.bisect_left(keys, (hi[0],), first)
     idx: Sequence[int] = range(first, last)
@@ -219,39 +218,30 @@ class DelonePair:
     R_gamma: Fraction
 
 
-def _shift_keys(s: PointSet, v: Vec) -> tuple[int, _Keys]:
-    """(L, keys of s + v): the keys of s plus v * L, on a common multiple L of
-    their scale and the denominators of v.  A shift keeps their order."""
-    if len(v) != s.dim:
-        raise DimensionMismatchError(f"translate: dim {s.dim} vs vector {len(v)}")
-    scale = math.lcm(s._keys[0], *(c.denominator for c in v))
-    return scale, _group(
-        map(operator.add, itertools.chain.from_iterable(_keys_at(s, scale)),
-            itertools.cycle([_times(c, scale) for c in v])), s.dim)
-
-
 def translate(s: PointSet, v: Sequence) -> PointSet:
     """Shift every point and the domain ball by v.
 
     A shift keeps lexicographic order and ball membership, so the result
-    needs no sort and no check: its keys are the old ones plus v * L.
+    needs no sort and no check: its keys are the old ones plus v * L, on a
+    common multiple L of their scale and the denominators of v.
     """
     v = vec(v)
-    return PointSet(s.dim, _PointView(*_shift_keys(s, v)),
-                    vec_add(s.center, v), s.radius, s.complete)
+    if len(v) != s.dim:
+        raise DimensionMismatchError(f"translate: dim {s.dim} vs vector {len(v)}")
+    scale = math.lcm(s._keys[0], *(c.denominator for c in v))
+    keys = _group(
+        map(operator.add, itertools.chain.from_iterable(_keys_at(s, scale)),
+            itertools.cycle([_times(c, scale) for c in v])), s.dim)
+    return PointSet(s.dim, _PointView(scale, keys), vec_add(s.center, v),
+                    s.radius, s.complete)
 
 
 def common_domain(s: PointSet, t: PointSet) -> tuple[Vec, Fraction]:
     """Largest ball contained in both domain balls (center, radius)."""
     if s.dim != t.dim:
         raise DimensionMismatchError(f"dims {s.dim} vs {t.dim}")
-    return _common_ball(s.center, s.radius, t.center, t.radius)
-
-
-def _common_ball(center_a: Vec, radius_a: Fraction, center_b: Vec,
-                 radius_b: Fraction) -> tuple[Vec, Fraction]:
-    lo = tuple(max(a - radius_a, b - radius_b) for a, b in zip(center_a, center_b))
-    hi = tuple(min(a + radius_a, b + radius_b) for a, b in zip(center_a, center_b))
+    lo = tuple(max(a - s.radius, b - t.radius) for a, b in zip(s.center, t.center))
+    hi = tuple(min(a + s.radius, b + t.radius) for a, b in zip(s.center, t.center))
     radius = min((b - a) / 2 for a, b in zip(lo, hi))
     if radius <= 0:
         raise DomainError("domain balls have empty intersection")
@@ -259,32 +249,14 @@ def _common_ball(center_a: Vec, radius_a: Fraction, center_b: Vec,
     return center, radius
 
 
-def _xor_in_ball(a: AbstractSet, b: AbstractSet, scale: int, center: Vec,
-                 radius: Fraction) -> _Keys:
-    """Sorted keys, on the given scale, that are in exactly one of a and b
-    and lie in the open ball B(center, radius)."""
-    diff = sorted(a ^ b)
-    return [diff[i] for i in _in_box(diff, *_open_box(center, radius, scale))]
-
-
 def sym_diff(s: PointSet, t: PointSet) -> PointSet:
     """Exact symmetric difference on the largest common domain ball."""
     center, radius = common_domain(s, t)
     scale = math.lcm(s._keys[0], t._keys[0])
-    keys = _xor_in_ball(set(_keys_at(s, scale)), set(_keys_at(t, scale)),
-                        scale, center, radius)
+    diff = sorted(set(_keys_at(s, scale)) ^ set(_keys_at(t, scale)))
+    keys = [diff[i] for i in _in_ball(diff, scale, center, radius)]
     return PointSet(s.dim, _PointView(scale, keys), center, radius,
                     s.complete and t.complete)
-
-
-def _shift_diff(s: PointSet, v: Vec) -> tuple[int, _Keys, Vec, Fraction]:
-    """sym_diff(translate(s, v), s) as (L, keys, center, radius), made on
-    the integer keys alone: no shifted or Fraction point is built."""
-    scale, moved = _shift_keys(s, v)
-    center, radius = _common_ball(vec_add(s.center, v), s.radius, s.center,
-                                  s.radius)
-    return (scale, _xor_in_ball(set(moved), set(_keys_at(s, scale)), scale,
-                                center, radius), center, radius)
 
 
 def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
@@ -300,12 +272,9 @@ def restrict(s: PointSet, center: Sequence, radius) -> PointSet:
             f"B({center}, {radius}) exceeds the known-complete ball "
             f"B({s.center}, {s.radius})"
         )
-    scale = math.lcm(s._keys[0], radius.denominator,
-                     *(c.denominator for c in center))
-    keys = _keys_at(s, scale)
-    kept = _inside(keys, [_times(c, scale) for c in center], _times(radius, scale))
-    return PointSet(s.dim, _PointView(scale, list(map(keys.__getitem__, kept))),
-                    center, radius, s.complete)
+    scale, keys = s._keys
+    kept = [keys[i] for i in _in_ball(keys, scale, center, radius)]
+    return PointSet(s.dim, _PointView(scale, kept), center, radius, s.complete)
 
 
 def _min_pairwise_distance(scale: int, keys: _Keys) -> Fraction:
@@ -344,21 +313,10 @@ def delone_estimate(s: PointSet) -> DelonePair:
     for i in range(s.dim):
         a, b = min(k[i] for k in keys), max(k[i] for k in keys)
         axes.append([*range(a, b + 1, step), b])
-    if s.dim == 1:
-        coords = sorted(k[0] for k in keys)
-        best = 0
-        for x in axes[0]:
-            i = bisect.bisect_left(coords, x)
-            nearest = min(
-                (abs(coords[j] - x) for j in (i - 1, i) if 0 <= j < len(coords)),
-            )
-            if nearest > best:
-                best = nearest
-    else:
-        best = max(
-            min(max(map(abs, map(operator.sub, k, x))) for k in keys)
-            for x in itertools.product(*axes)
-        )
+    best = max(
+        min(max(map(abs, map(operator.sub, k, x))) for k in keys)
+        for x in itertools.product(*axes)
+    )
     best = Fraction(best, scale)
     # the midpoint of the closest pair always carries an empty ball of
     # radius r_gamma, so the estimate never sits below it

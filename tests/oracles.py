@@ -22,6 +22,16 @@ def residue_member(a: int) -> bool:
     return a % 3 in (0, 1)
 
 
+# integer, mixed small and 2^-32 denominators for random_rational
+DENOMINATORS = ([1], [2, 3, 5, 6, 7], [1 << 32])
+
+
+def random_rational(rng, dens, span):
+    """A rational in [-span, span] on a denominator drawn from dens."""
+    den = dens[rng.randrange(len(dens))]
+    return Fraction(rng.randrange(2 * span * den + 1) - span * den, den)
+
+
 def frac_entry(rng, span=2, max_den=6):
     den = 1 + rng.randrange(max_den)
     num = rng.randrange(2 * span * den + 1) - span * den

@@ -1,11 +1,13 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from oracles import (breakpoint_cell_extrema, dense_grid_extrema,
-                     naive_sup_half_grid, weak_ap_reference)
+from oracles import (DENOMINATORS, breakpoint_cell_extrema, common_ball,
+                     dense_grid_extrema, naive_sup_half_grid, random_rational,
+                     weak_ap_reference)
 from quasigrid.analysis import (
     _difference_candidates,
     _sweep_extrema,
@@ -49,6 +51,46 @@ def fraction_differences(points, v_max):
     return sorted(d for d in diffs if max(map(abs, d)) <= v_max)
 
 
+def dist(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def shift_difference(s, v):
+    """(points, center, radius) of (s + v) symmetric-difference s on the
+    common ball of both domains, from Fraction set algebra."""
+    center, radius = common_ball(tuple(a + b for a, b in zip(s.center, v)),
+                                 s.radius, s.center, s.radius)
+    moved = {tuple(a + b for a, b in zip(p, v)) for p in s.points}
+    points = [p for p in moved ^ set(s.points) if dist(p, center) < radius]
+    return points, center, radius
+
+
+def sup_count(points, center, domain_radius, radius, region=None):
+    """Greatest count of the points in an open ball of the given radius over
+    the centers whose balls fit the domain (or over region)."""
+    if region is None:
+        slack = domain_radius - radius
+        region = tuple((c - slack, c + slack) for c in center)
+    return breakpoint_cell_extrema(points, radius, region)[1]
+
+
+def lattice_patch(rng, dim):
+    """The lattice a Z^dim, a = 1 or 3/4, shifted by 0, 1/3 or 2^-32, on
+    the domain B(c, 9a/4) with c on fifths, and in two cases of three one
+    defect on denominators 2-7.  Returns the patch and a."""
+    a = (Fraction(1), Fraction(3, 4))[rng.randrange(2)]
+    offset = (Fraction(0), Fraction(1, 3), Fraction(1, 1 << 32))[rng.randrange(3)]
+    center = tuple(Fraction(rng.randrange(5) - 2, 5) for _ in range(dim))
+    radius = 9 * a / 4
+    pts = [tuple(a * k + offset for k in ks)
+           for ks in product(range(-3, 4), repeat=dim)]
+    if rng.randrange(3):
+        pts.append(tuple(c + random_rational(rng, DENOMINATORS[1], 1)
+                         for c in center))
+    pts = [p for p in pts if dist(p, center) < radius]
+    return PointSet.build(dim, pts, center, radius), a
+
+
 class TestDensityR:
     def test_identical_sets(self):
         s = int_line(-10, 10)
@@ -74,6 +116,39 @@ class TestDensityR:
         s = int_line(-10, 10)
         with pytest.raises(DomainError):
             density_R(s, s, (9,), 5)
+
+    def test_matches_fraction_count(self):
+        # dims 1-3, denominators 1, mixed 2-7 and 2^-32; the ball's center
+        # and radius on 1/143 of the common radius, off the sets' scale,
+        # with some balls crossing the common domain and some radii putting
+        # a point of the difference on the rim
+        rng = RngState(61)
+        fitted = crossed = 0
+        for case in range(90):
+            dim = 1 + case % 3
+            dens = DENOMINATORS[case // 3 % 3]
+            s, t = [PointSet.build(dim, [tuple(c + random_rational(rng, dens, 3)
+                                               for c in center)
+                                         for _ in range(rng.randrange(30))],
+                                   center, 4)
+                    for center in [tuple(random_rational(rng, dens, 1)
+                                         for _ in range(dim)) for _ in range(2)]]
+            mid, rad = common_ball(s.center, s.radius, t.center, t.radius)
+            x = tuple(c + rad * Fraction(rng.randrange(201) - 100, 143)
+                      for c in mid)
+            diff = set(s.points) ^ set(t.points)
+            radius = rad * Fraction(1 + rng.randrange(130), 143)
+            if case % 4 == 1 and diff:
+                radius = dist(sorted(diff)[rng.randrange(len(diff))], x) or radius
+            if dist(x, mid) + radius > rad:
+                crossed += 1
+                with pytest.raises(DomainError):
+                    density_R(s, t, x, radius)
+                continue
+            fitted += 1
+            count = sum(1 for p in diff if dist(p, x) < radius)
+            assert density_R(s, t, x, radius) == Fraction(count, (2 * radius) ** dim), case
+        assert fitted > 20 and crossed > 20
 
 
 class TestDensityRPlus:
@@ -299,6 +374,68 @@ class TestSubadditivity:
         lhs, rhs, ok = subadditivity_check(patch, [v1, v2], 100)
         assert ok
         assert lhs == Fraction(3, 100) and rhs == Fraction(19, 200)
+
+
+class TestTranslationsInHigherDimensions:
+    """epsilon_translations and subadditivity_check in dims 2 and 3 against
+    Fraction set algebra: the shifted difference, its common ball and the
+    sup count at each rung from the definitions."""
+
+    def test_epsilon_translations_match_set_algebra(self):
+        # an open ball of radius a/2 holds at most one lattice point, so a
+        # defect puts the lattice shifts at density 1/a^dim on the first
+        # rung: eps below it rejects them, eps above accepts them.  A shift
+        # off the lattice leaves two lattices and the defect in the
+        # difference, at most 3 points in a ball of the first rung but about
+        # 2 (2R/a)^dim in one of radius R: with eps = 7/2 / a^dim some are
+        # rejected on the last rung alone
+        rng = RngState(71)
+        accepted = rejected = 0
+        for case in range(12):
+            dim = 2 + case % 2
+            s, a = lattice_patch(rng, dim)
+            eps = (Fraction(1, 2), Fraction(7, 2))[case // 2 % 2] / a ** dim
+            r_eps, v_max = a / 2, a
+            report = epsilon_translations(s, eps, r_eps, v_max)
+            candidates = fraction_differences(s.points, v_max)
+            want = []
+            for v in candidates:
+                points, center, radius = shift_difference(s, v)
+                top = s.radius - max(map(abs, v)) - r_eps
+                rungs = [r_eps * 2 ** k for k in range(4) if r_eps * 2 ** k < top]
+                if all(Fraction(sup_count(points, center, radius, rung),
+                                (2 * rung) ** dim) < eps for rung in rungs + [top]):
+                    want.append(v)
+            assert list(report.translations.points) == want, case
+            assert report.r_max == s.radius - r_eps
+            accepted += len(want)
+            rejected += len(candidates) - len(want)
+        assert accepted > 50 and rejected > 50
+
+    def test_subadditivity_matches_set_algebra(self):
+        rng = RngState(73)
+        for case in range(16):
+            dim = 2 + case % 2
+            s, a = lattice_patch(rng, dim)
+            pool = fraction_differences(s.points, a)
+            shifts = [pool[rng.randrange(len(pool))] for _ in range(2 + case % 2)]
+            if case % 4 < 2:
+                # a repeated shift, whose sum has the narrowest region
+                shifts = [shifts[0]] * len(shifts)
+            total = tuple(map(sum, zip(*shifts)))
+            # the shared region is nonempty: the total shift has norm at most
+            # 3a, which leaves its difference a common ball of radius 3a/4
+            radius = a * (Fraction(1, 2), Fraction(2, 3))[case // 2 % 2]
+            diffs = [shift_difference(s, v) for v in shifts + [total]]
+            region = tuple(
+                (max(c[i] - r for _, c, r in diffs) + radius,
+                 min(c[i] + r for _, c, r in diffs) - radius)
+                for i in range(dim))
+            volume = (2 * radius) ** dim
+            sups = [Fraction(sup_count(p, c, r, radius, region), volume)
+                    for p, c, r in diffs]
+            lhs, rhs = sups[-1], sum(sups[:-1])
+            assert subadditivity_check(s, shifts, radius) == (lhs, rhs, lhs <= rhs), case
 
 
 def weak_ap_cases():

@@ -21,7 +21,8 @@ from quasigrid.pointset import (
     write_qps,
 )
 from quasigrid.rng import RngState
-from oracles import canonical_points, common_ball, min_pairwise_distance
+from oracles import (DENOMINATORS, canonical_points, common_ball,
+                     min_pairwise_distance, random_rational)
 
 
 def line(lo, hi, step=1, radius=None, center=0):
@@ -177,8 +178,9 @@ class TestDeloneEstimate:
 
         rng = RngState(11)
         for trial in range(32):
-            dim = 2 + trial % 2
-            # mixed denominators 1-3 (1-2 in dim 3), or all 2**-32
+            dim = 1 + trial % 3
+            # mixed denominators 1-3 in dim 1, 1-2 in dim 2 and 1 in dim 3,
+            # or all 2**-32
             tiny = (trial // 2) % 3 == 2
             pts = {tuple(Fraction(rng.randrange(9) - 4,
                                   1 << 32 if tiny else 1 + rng.randrange(4 - dim))
@@ -278,14 +280,6 @@ class TestQpsFormat:
 
 
 # --- differential test against the definition -------------------------------
-
-DENOMINATORS = ([1], [2, 3, 5, 6, 7], [1 << 32])
-
-
-def random_rational(rng, dens, span):
-    den = dens[rng.randrange(len(dens))]
-    return Fraction(rng.randrange(2 * span * den + 1) - span * den, den)
-
 
 def random_input_point(rng, p):
     """The same point as Fractions, ints where integral, a list or a mix."""
