@@ -7,8 +7,9 @@ space.  Points of the model set are the physical projections of lattice
 vectors whose internal projection lands in the window.
 
 Enumeration inside a ball is complete and exact: the membership conditions
-are scaled to integer linear constraints on the lattice coefficients and
-handed to the latticeenum solver.
+become integer linear constraints on the lattice coefficients, with the
+rows of the basis's integer form q*B and each face bound rounded to the
+integers it admits, and go to the latticeenum solver.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ratmath import (
     RMatrix,
     Vec,
     _block_bidiagonal,
-    _times,
     ball_volume,
     preimage_bounds,
     rat,
@@ -67,8 +67,6 @@ class Window:
     def cube(cls, m: int, radius) -> "Window":
         """The closed cube of the given radius around the origin."""
         radius = rat(radius)
-        if m == 0:
-            return cls.vacuous()
         return cls(m, (IntervalBox.closed((-radius,) * m, (radius,) * m),))
 
     def contains(self, p: Sequence) -> bool:
@@ -111,31 +109,33 @@ def zn_scheme(n: int) -> CutProjectScheme:
 
 
 def _scaled_constraints(scheme: CutProjectScheme, window_box: IntervalBox,
-                        center: Vec, radius: Fraction):
-    """Integer rows and global coefficient ranges for one window box."""
-    m, n = scheme.m, scheme.n
-    d = m + n
-    ball_lo = tuple(c - radius for c in center)
-    ball_hi = tuple(c + radius for c in center)
-    target_lo = window_box.lo + ball_lo
-    target_hi = window_box.hi + ball_hi
+                        center: Vec, radius: Fraction) -> IntConstraints:
+    """The integer system of one window box and the ball B(center, radius).
+
+    Its rows are the basis's integer form R = q*B.  R*c is an integer for an
+    integer c, so a face bound b becomes the integers that q*b admits: a
+    closed lower face ceil(q*b), an open one floor(q*b) + 1, a closed upper
+    face floor(q*b), an open one ceil(q*b) - 1.
+    """
+    n = scheme.n
+    target_lo = window_box.lo + tuple(c - radius for c in center)
+    target_hi = window_box.hi + tuple(c + radius for c in center)
     lo_closed = window_box.lo_closed + (False,) * n
     hi_closed = window_box.hi_closed + (False,) * n
 
-    hull = IntervalBox.closed(target_lo, target_hi)
-    coeff_box = preimage_bounds(scheme.basis, hull)
+    coeff_box = preimage_bounds(scheme.basis,
+                                IntervalBox.closed(target_lo, target_hi))
     var_lo = [math.ceil(x) for x in coeff_box.lo]
     var_hi = [math.floor(x) for x in coeff_box.hi]
 
     q, rows = scheme.basis._int_form
-    scale = math.lcm(q, *(x.denominator for x in target_lo + target_hi))
-    coeffs = [tuple(a * (scale // q) for a in row) for row in rows]
-    lo = [_times(b, scale) + (0 if closed else 1)
+    lo = [-(-q * b.numerator // b.denominator) if closed
+          else q * b.numerator // b.denominator + 1
           for b, closed in zip(target_lo, lo_closed)]
-    hi = [_times(b, scale) - (0 if closed else 1)
+    hi = [q * b.numerator // b.denominator if closed
+          else -(-q * b.numerator // b.denominator) - 1
           for b, closed in zip(target_hi, hi_closed)]
-    cons = IntConstraints(coeffs, lo, hi, var_lo, var_hi)
-    return cons, scale
+    return IntConstraints(list(rows), lo, hi, var_lo, var_hi)
 
 
 def _images(rows: list[list[int]],
@@ -170,27 +170,18 @@ def enumerate_model_set(scheme: CutProjectScheme, center: Sequence,
         raise ValueError("enumeration radius must be positive")
     budget = enumeration_budget()
 
-    # each box's physical rows, on the smallest scale that keeps them
-    # integral, and the lcm of those scales, on which all points get keys
-    boxes = []
-    for window_box in scheme.window.boxes:
-        cons, scale = _scaled_constraints(scheme, window_box, center, radius)
-        if any(l > h for l, h in zip(cons.lo, cons.hi)):
-            continue
-        rows = cons.coeffs[scheme.m:]
-        g = math.gcd(scale, *itertools.chain.from_iterable(rows))
-        boxes.append((cons, scale // g, [[a // g for a in row] for row in rows]))
-    common = math.lcm(*(scale for _, scale, _ in boxes))
     accepted: set[tuple[int, ...]] = set()
-    keys = []
-    for cons, scale, rows in boxes:
-        fresh = set(solve_integer_box(cons, budget)) - accepted
-        accepted |= fresh
-        keys += _images(
-            [[a * (common // scale) for a in row] for row in rows], list(fresh))
-    # boxes can reach one point from different coefficient vectors;
-    # build deduplicates them
-    patch = PointSet.build(scheme.n, _PointView(common, keys), center, radius)
+    for window_box in scheme.window.boxes:
+        cons = _scaled_constraints(scheme, window_box, center, radius)
+        if all(l <= h for l, h in zip(cons.lo, cons.hi)):
+            accepted.update(solve_integer_box(cons, budget))
+    # the physical rows on the smallest scale that keeps them integral
+    q, rows = scheme.basis._int_form
+    physical = rows[scheme.m:]
+    g = math.gcd(q, *itertools.chain.from_iterable(physical))
+    keys = _images([[a // g for a in row] for row in physical], list(accepted))
+    # coefficient vectors can share a projection; build deduplicates them
+    patch = PointSet.build(scheme.n, _PointView(q // g, keys), center, radius)
     return ModelSetPatch(scheme, patch, len(accepted) - len(patch))
 
 
@@ -207,58 +198,47 @@ def translation_set(scheme: CutProjectScheme, eta, radius) -> PointSet:
 
 # --- flagged box subtraction (for window inflation) -------------------------
 #
-# Endpoints are compared as (value, eps) pairs: eps +1 marks an open lower
-# face, -1 an open upper face, 0 a closed face.  Lexicographic order on the
-# pairs then decides emptiness and overlap exactly.
+# Each face is an endpoint key (value, eps): eps +1 marks an open lower face,
+# -1 an open upper face, 0 a closed face.  Keys order as the faces do, so an
+# axis from lower key l to upper key h is non-empty iff l <= h, and two axes
+# overlap from the larger lower key to the smaller upper one.  The part of
+# an axis below a lower face (v, eps) ends at the upper key (v, eps - 1); the
+# part above an upper face (v, eps) starts at the lower key (v, eps + 1).
 
 
-def _lo_key(box: IntervalBox, i: int):
-    return (box.lo[i], 0 if box.lo_closed[i] else 1)
+def _endpoint_keys(box: IntervalBox):
+    """Per axis, the (lower key, upper key) pair of the box's faces."""
+    return [((lo, 0 if lo_c else 1), (hi, 0 if hi_c else -1))
+            for lo, hi, lo_c, hi_c
+            in zip(box.lo, box.hi, box.lo_closed, box.hi_closed)]
 
 
-def _hi_key(box: IntervalBox, i: int):
-    return (box.hi[i], 0 if box.hi_closed[i] else -1)
-
-
-def _make_axis(lo_key, hi_key):
-    if lo_key > hi_key:
-        return None
-    return (lo_key[0], lo_key[1] == 0, hi_key[0], hi_key[1] == 0)
-
-
-def _axis_intersect(a: IntervalBox, b: IntervalBox, i: int):
-    return _make_axis(max(_lo_key(a, i), _lo_key(b, i)),
-                      min(_hi_key(a, i), _hi_key(b, i)))
-
-
-def _axis_minus(a: IntervalBox, b: IntervalBox, i: int):
-    pieces = []
-    below_hi = (b.lo[i], -1 if b.lo_closed[i] else 0)
-    below = _make_axis(_lo_key(a, i), min(_hi_key(a, i), below_hi))
-    if below is not None:
-        pieces.append(below)
-    above_lo = (b.hi[i], 1 if b.hi_closed[i] else 0)
-    above = _make_axis(max(_lo_key(a, i), above_lo), _hi_key(a, i))
-    if above is not None:
-        pieces.append(above)
-    return pieces
+def _box_of(axes) -> IntervalBox:
+    """The flagged box of per-axis (lower key, upper key) pairs."""
+    lo_keys, hi_keys = zip(*axes)
+    return IntervalBox(tuple(v for v, _ in lo_keys), tuple(v for v, _ in hi_keys),
+                       tuple(e == 0 for _, e in lo_keys),
+                       tuple(e == 0 for _, e in hi_keys))
 
 
 def box_minus(a: IntervalBox, b: IntervalBox) -> list[IntervalBox]:
     """a \\ b as disjoint flagged boxes (exact, including face flags)."""
     if a.dim != b.dim:
         raise DimensionMismatchError("box dims differ")
-    overlap = [_axis_intersect(a, b, i) for i in range(a.dim)]
-    if any(axis is None for axis in overlap):
+    a_axes, b_axes = _endpoint_keys(a), _endpoint_keys(b)
+    overlap = [(max(a_lo, b_lo), min(a_hi, b_hi))
+               for (a_lo, a_hi), (b_lo, b_hi) in zip(a_axes, b_axes)]
+    if any(lo > hi for lo, hi in overlap):
         return [a]
     out = []
-    for i in range(a.dim):
-        prefix = overlap[:i]
-        suffix = [(a.lo[j], a.lo_closed[j], a.hi[j], a.hi_closed[j])
-                  for j in range(i + 1, a.dim)]
-        for piece in _axis_minus(a, b, i):
-            out.append(IntervalBox.from_faces(prefix + [piece] + suffix))
-    return [box for box in out if not box.is_empty()]
+    for i, (lo, hi) in enumerate(a_axes):
+        (b_lo, lo_eps), (b_hi, hi_eps) = b_axes[i]
+        below = (lo, min(hi, (b_lo, lo_eps - 1)))
+        above = (max(lo, (b_hi, hi_eps + 1)), hi)
+        for piece in (below, above):
+            if piece[0] <= piece[1]:
+                out.append(_box_of(overlap[:i] + [piece] + a_axes[i + 1:]))
+    return out
 
 
 def boxes_minus(minuend: Sequence[IntervalBox],
@@ -283,8 +263,6 @@ def window_inflation_density(scheme: CutProjectScheme, eta,
     radius = rat(radius)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if scheme.m == 0:
-        return Fraction(0)
     inflated = [
         IntervalBox.closed([l - eta for l in box.lo], [h + eta for h in box.hi])
         for box in scheme.window.boxes
@@ -306,10 +284,6 @@ def window_inflation_density(scheme: CutProjectScheme, eta,
 
 
 # --- image and iterated constructions ---------------------------------------
-
-
-def _half_open_unit_axes(n: int):
-    return [(-HALF, False, HALF, True) for _ in range(n)]
 
 
 def image_scheme(a: RMatrix, scheme: CutProjectScheme) -> CutProjectScheme:
@@ -339,10 +313,8 @@ def image_scheme(a: RMatrix, scheme: CutProjectScheme) -> CutProjectScheme:
         rows.append([zero] * d
                     + [Fraction(1) if j == i else zero for j in range(n)])
     new_boxes = tuple(
-        IntervalBox.from_faces(
-            [(box.lo[i], box.lo_closed[i], box.hi[i], box.hi_closed[i])
-             for i in range(m)] + _half_open_unit_axes(n)
-        )
+        IntervalBox(box.lo + (-HALF,) * n, box.hi + (HALF,) * n,
+                    box.lo_closed + (False,) * n, box.hi_closed + (True,) * n)
         for box in scheme.window.boxes
     )
     return CutProjectScheme(m + n, n, RMatrix.from_rows(rows),
@@ -364,10 +336,11 @@ def iterated_scheme(maps: Sequence[RMatrix]) -> CutProjectScheme:
             raise DimensionMismatchError("all maps must be square of equal size")
         if a.determinant() == 0:
             raise SingularMatrixError("iterated map is singular")
-    k = len(maps)
-    window = Window(n * k, (IntervalBox.from_faces(_half_open_unit_axes(n * k)),))
+    m = n * len(maps)
+    window = Window(m, (IntervalBox((-HALF,) * m, (HALF,) * m,
+                                    (False,) * m, (True,) * m),))
     basis = _block_bidiagonal([*maps, RMatrix.identity(n)])
-    return CutProjectScheme(n * k, n, basis, window)
+    return CutProjectScheme(m, n, basis, window)
 
 
 # --- scheme text format ------------------------------------------------------
@@ -435,10 +408,7 @@ def loads_scheme(text: str) -> CutProjectScheme:
                 raise FormatError(f"bad window face line: {body[b * m + i]!r}")
             faces.append((parse_rational(tokens[2]), tokens[1] == "c",
                           parse_rational(tokens[5]), tokens[4] == "c"))
-        if m == 0:
-            boxes.append(IntervalBox((), (), (), ()))
-        else:
-            boxes.append(IntervalBox.from_faces(faces))
+        boxes.append(IntervalBox.from_faces(faces))
     try:
         basis = RMatrix.from_rows(rows)
         return CutProjectScheme(m, n, basis, Window(m, tuple(boxes)))

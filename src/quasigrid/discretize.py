@@ -21,7 +21,6 @@ denominator and rounded once to denominator 2**32.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,7 +298,9 @@ def _region_int_points(region, n: int, budget: int) -> np.ndarray:
     if not total:
         return np.empty((0, n), dtype=np.int64)
     if n != 2:
-        return np.array(list(itertools.product(*spans)), dtype=np.int64)
+        starts = np.array([span.start for span in spans], dtype=np.int64)
+        shape = tuple(map(len, spans))
+        return np.indices(shape, dtype=np.int64).reshape(n, -1).T + starts
     # column i repeats x_lo + i counts[i] times, its y running up from lows[i]
     counts = np.array(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts

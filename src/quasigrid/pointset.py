@@ -123,11 +123,7 @@ class PointSet:
         if isinstance(points, _PointView):
             scale, keys = points.scale, points.keys
         else:
-            pts = list(points)
-            if (set(map(type, pts)) - {tuple}
-                    or set(map(type, itertools.chain.from_iterable(pts))) - {Fraction}):
-                pts = [p if type(p) is tuple and set(map(type, p)) <= {Fraction}
-                       else vec(p) for p in pts]
+            pts = [vec(p) for p in points]
             if set(map(len, pts)) - {dim}:
                 bad = min(p for p in pts if len(p) != dim)
                 raise DimensionMismatchError(f"point {bad} does not have dim {dim}")

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 
 HALF = Fraction(1, 2)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from oracles import brute_enumerate, frac_entry, random_scheme, residue_member
 from quasigrid.cutproject import (
     box_minus,
+    boxes_minus,
     dumps_scheme,
     enumerate_model_set,
     image_scheme,
@@ -137,6 +139,65 @@ class TestWindowInflation:
         for _ in range(200):
             p = (Fraction(rng.randrange(17), 8), Fraction(rng.randrange(17), 8))
             assert sum(1 for piece in pieces if piece.contains(p)) <= 1
+
+    @staticmethod
+    def face_grid(boxes, dim):
+        """Per axis every face value of the boxes, the midpoints between
+        them and one point beyond each end, as a product grid."""
+        axes = []
+        for i in range(dim):
+            faces = sorted({x for box in boxes for x in (box.lo[i], box.hi[i])})
+            mids = [(x + y) / 2 for x, y in zip(faces, faces[1:])]
+            axes.append(faces + mids + [faces[0] - 1, faces[-1] + 1])
+        return itertools.product(*axes)
+
+    @staticmethod
+    def random_box(rng, dim):
+        # faces on {0, 1/2, 1, 3/2, 2} so they often coincide across boxes,
+        # and about one axis in five is a closed point
+        faces = []
+        for _ in range(dim):
+            a, b = sorted(Fraction(rng.randrange(5), 2) for _ in range(2))
+            if rng.randrange(5) == 0:
+                faces.append((a, True, a, True))
+            else:
+                faces.append((a, rng.randrange(2) == 0, b, rng.randrange(2) == 0))
+        return IntervalBox.from_faces(faces)
+
+    def check_subtraction(self, a, subtrahend, pieces):
+        assert not any(piece.is_empty() for piece in pieces)
+        for p in self.face_grid([a, *subtrahend], a.dim):
+            expected = a.contains(p) and not any(b.contains(p) for b in subtrahend)
+            # a point in two pieces would count twice
+            assert sum(piece.contains(p) for piece in pieces) == expected, (
+                a, subtrahend, p)
+
+    def test_box_minus_every_flag_combination(self):
+        values = [Fraction(x) for x in range(3)]
+        axes = [(lo, lc, hi, hc) for lo in values for hi in values if lo <= hi
+                for lc in (True, False) for hc in (True, False)]
+        for a_face in axes:
+            a = IntervalBox.from_faces([a_face])
+            if a.is_empty():
+                continue
+            for b_face in axes:
+                b = IntervalBox.from_faces([b_face])
+                self.check_subtraction(a, [b], box_minus(a, b))
+
+    def test_box_minus_random_boxes(self):
+        rng = RngState(57)
+        seen = set()
+        for trial in range(400):
+            dim = trial % 4
+            a = self.random_box(rng, dim)
+            if a.is_empty():
+                continue
+            subtrahend = [self.random_box(rng, dim)
+                          for _ in range(1 + rng.randrange(3))]
+            seen.add((dim, len(subtrahend)))
+            self.check_subtraction(a, subtrahend[:1], box_minus(a, subtrahend[0]))
+            self.check_subtraction(a, subtrahend, boxes_minus([a], subtrahend))
+        assert len(seen) == 12, seen
 
 
 class TestImageScheme:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,8 @@ from quasigrid.discretize import (
 from quasigrid.errors import BudgetError, DomainError, FormatError
 from quasigrid.latticeenum import _fits_int64
 from quasigrid.pointset import PointSet
-from quasigrid.ratmath import HALF, RMatrix, invert_matrix, round_vector
+from quasigrid.ratmath import (HALF, IntervalBox, RMatrix, invert_matrix,
+                               round_vector)
 from quasigrid.rng import RngState
 
 
@@ -489,6 +491,22 @@ class TestPolygonKernels:
             budget = max(cols, len(rows))
             assert len(_region_int_points((den, hull), 2, budget)) == len(rows)
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((Fraction(-7, 2),), (Fraction(5, 3),)),
+        ((Fraction(-9, 4),), (Fraction(-5, 4),)),
+        ((Fraction(-5, 2), Fraction(3, 2), -4), (1, Fraction(5, 2), Fraction(-1, 3))),
+        ((-3, -1, Fraction(-2, 3)), (-3, Fraction(7, 4), 2)),
+        ((0, Fraction(1, 3), 0), (2, Fraction(2, 3), 1)),
+    ])
+    def test_box_region_points_match_product(self, lo, hi):
+        # negative starts, one-value spans and an axis with no integer
+        spans = [range(math.ceil(a), math.floor(b) + 1)
+                 for a, b in zip(map(Fraction, lo), map(Fraction, hi))]
+        rows = list(itertools.product(*spans))
+        got = _region_int_points(IntervalBox.closed(lo, hi), len(lo), 10**6)
+        assert got.dtype == np.int64 and got.shape == (len(rows), len(lo))
+        assert list(map(tuple, got.tolist())) == rows
+
 
 class TestSl2Sampler:
     def test_deterministic_in_seed(self):
@@ -589,8 +607,8 @@ class TestWitness:
         # system past int64, so this runs the solver on Python ints
         chain = sample_sl2_chain(RngState(100 + k), k)
         scheme = iterated_scheme(chain.matrices)
-        cons, _ = _scaled_constraints(scheme, scheme.window.boxes[0],
-                                      (Fraction(0),) * 2, Fraction(radius))
+        cons = _scaled_constraints(scheme, scheme.window.boxes[0],
+                                  (Fraction(0),) * 2, Fraction(radius))
         assert not _fits_int64(cons)
         assert chain_model_witness(chain, radius) is None
 

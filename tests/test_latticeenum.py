@@ -68,8 +68,8 @@ def chain_system(maps, radius):
     """The integer system of an iterated scheme's window box and B(0, radius):
     upper block-bidiagonal rows, maps on the diagonal and -Id above them."""
     scheme = iterated_scheme(maps)
-    cons, _ = _scaled_constraints(scheme, scheme.window.boxes[0],
-                                  (Fraction(0),) * maps[0].rows, Fraction(radius))
+    cons = _scaled_constraints(scheme, scheme.window.boxes[0],
+                               (Fraction(0),) * maps[0].rows, Fraction(radius))
     return cons
 
 
